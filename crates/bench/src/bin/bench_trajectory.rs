@@ -39,11 +39,16 @@
 //! (dense pseudoinverse solves), so this pass is skipped above 5 000
 //! nodes — run the ci tier for the job-latency record.
 //!
-//! `BENCH_query.json` carries two read-path records: `query_full_scan`
-//! (the threaded APPROXQUERY scan, the historical trajectory line) and
-//! `query_batched` (scalar hull-panel sweeps vs one batched
-//! `eccentricity_batch` call over the same sources — the read-path
-//! headline, with per-mode correctness gates inlined as booleans).
+//! `BENCH_query.json` carries three read-path records:
+//! `query_full_scan` (the unpruned O(n·d) APPROXQUERY scan
+//! `ResistanceSketch::eccentricity` on one thread, the historical
+//! trajectory line), `query_pruned_scan` (the norm-pruned scan that
+//! answers mutated epochs, timed against that reference over the same
+//! sources, with the fraction of nodes it evaluated and the share of
+//! sources the hull panel under-answers) and `query_batched` (scalar
+//! hull-panel sweeps vs one batched `eccentricity_batch` call over the
+//! same sources — the read-path headline, with per-mode correctness
+//! gates inlined as booleans).
 //!
 //! The bin never fails on a threshold — slowdowns are reported, not
 //! enforced, so it is safe as a CI step — but it exits non-zero if the
@@ -52,7 +57,8 @@
 //! served job's plan diverges from the CLI batch, or if any read-path
 //! gate fails (panel sweep vs historical hull gather bitwise, batched
 //! kernel vs scalar loop across the batch-size × thread-count matrix,
-//! norms-decomposed / f32 panel modes within eps/10 of exact), because
+//! norms-decomposed / f32 panel modes within eps/10 of exact, pruned
+//! scan single and batched vs the unpruned scan bitwise), because
 //! those are correctness bugs, not performance regressions.
 
 use std::sync::Arc;
@@ -188,10 +194,11 @@ fn main() {
 
     // Query-side trajectory: the read path. The engine is reassembled
     // from the already-built blocked sketch via `from_parts` (which packs
-    // the hull panel; no second sketch build), and three paths are timed:
-    // the threaded full scan (the historical `query_full_scan` trajectory
-    // line), the scalar one-at-a-time panel sweep, and the batched panel
-    // kernel (`query_batched`, the read-path headline).
+    // the hull panel and the norm order; no second sketch build), and
+    // four paths are timed: the unpruned full scan (the historical
+    // `query_full_scan` trajectory line), the norm-pruned scan
+    // (`query_pruned_scan`), the scalar one-at-a-time panel sweep, and the
+    // batched panel kernel (`query_batched`, the read-path headline).
     let queries: Vec<usize> = (0..n).step_by((n / 64).max(1)).take(64).collect();
     let query_threads = resolve_threads(0);
     eprintln!("assembling the query engine (hull + panel) from the blocked sketch ...");
@@ -206,19 +213,16 @@ fn main() {
         .expect("bench sketch and hull are consistent");
     let hull_len = engine.hull_size();
 
-    let (checksum, _, query_secs) = timed_median3(|| {
-        let mut acc = 0.0f64;
-        for &v in &queries {
-            acc += engine.eccentricity_full_scan(v).value;
-        }
-        acc
+    let (full_answers, _, query_secs) = timed_median3(|| {
+        queries.iter().map(|&v| engine.sketch().eccentricity(v)).collect::<Vec<_>>()
     });
+    let checksum: f64 = full_answers.iter().map(|a| a.0).sum();
     let query_record = format!(
         "  {{\n    \"bench\": \"query_full_scan\",\n    \"unix_time\": {unix_time},\n    \
          \"mode\": \"{mode}\",\n    \
          \"graph\": \"{name}\",\n    \"tier\": \"{tier_name}\",\n    \"n\": {n},\n    \
          \"m\": {m},\n    \"epsilon\": {eps},\n    \"d\": {d},\n    \
-         \"threads\": {query_threads},\n    \
+         \"threads\": 1,\n    \
          \"queries\": {q},\n    \"wall_ms\": {wms:.3},\n    \
          \"per_query_us\": {pq:.3},\n    \"ecc_sum\": {checksum:.9e}\n  }}",
         d = blocked.dimension(),
@@ -227,6 +231,64 @@ fn main() {
         pq = query_secs * 1e6 / queries.len().max(1) as f64,
     );
     append_record("BENCH_query.json", &query_record);
+
+    // The norm-pruned scan over the same sources, one thread. The
+    // evaluated counts come from the timed kernel itself. Its gate: every
+    // answer, single and batched at every batch-size × thread-count
+    // combination, bitwise the unpruned scan's.
+    let (pruned, _, pruned_secs) = timed_median3(|| {
+        queries
+            .iter()
+            .map(|&v| engine.panel().eccentricity_pruned(engine.sketch(), v))
+            .collect::<Vec<_>>()
+    });
+    let full_bits: Vec<(u64, usize)> =
+        full_answers.iter().map(|a| (a.0.to_bits(), a.1)).collect();
+    let mut pruned_bits_match =
+        pruned.iter().zip(&full_bits).all(|(p, &want)| (p.value.to_bits(), p.farthest) == want);
+    for batch in [1usize, 2, 7, 16, queries.len()] {
+        for threads in [1usize, 2, 4] {
+            let got = engine.eccentricity_full_scan_batch_with(&queries[..batch], threads);
+            pruned_bits_match &= got
+                .iter()
+                .zip(&full_bits)
+                .all(|(a, &want)| (a.value.to_bits(), a.farthest) == want);
+        }
+    }
+    let mut fractions: Vec<f64> =
+        pruned.iter().map(|p| p.evaluated as f64 / n as f64).collect();
+    fractions.sort_by(f64::total_cmp);
+    let eval_median = fractions.get(fractions.len() / 2).copied().unwrap_or(0.0);
+    let eval_mean = fractions.iter().sum::<f64>() / fractions.len().max(1) as f64;
+    let eval_max = fractions.last().copied().unwrap_or(0.0);
+    let hull_misses = queries
+        .iter()
+        .zip(&pruned)
+        .filter(|(&v, p)| engine.eccentricity(v).value < p.value)
+        .count();
+    let hull_miss_fraction = hull_misses as f64 / queries.len().max(1) as f64;
+    let pruned_speedup = query_secs / pruned_secs.max(1e-9);
+    let pruned_record = format!(
+        "  {{\n    \"bench\": \"query_pruned_scan\",\n    \"unix_time\": {unix_time},\n    \
+         \"mode\": \"{mode}\",\n    \
+         \"graph\": \"{name}\",\n    \"tier\": \"{tier_name}\",\n    \"n\": {n},\n    \
+         \"m\": {m},\n    \"epsilon\": {eps},\n    \"d\": {d},\n    \
+         \"hull\": {hull_len},\n    \"threads\": 1,\n    \"queries\": {q},\n    \
+         \"pruned\": {{\"wall_ms\": {pms:.3}, \"per_query_us\": {ppq:.3}}},\n    \
+         \"full_scan\": {{\"wall_ms\": {wms:.3}, \"per_query_us\": {pq:.3}}},\n    \
+         \"speedup\": {pruned_speedup:.3},\n    \
+         \"evaluated_fraction\": {{\"median\": {eval_median:.6}, \"mean\": {eval_mean:.6}, \
+         \"max\": {eval_max:.6}}},\n    \
+         \"hull_miss_fraction\": {hull_miss_fraction:.4},\n    \
+         \"pruned_bits_match\": {pruned_bits_match}\n  }}",
+        d = blocked.dimension(),
+        q = queries.len(),
+        pms = pruned_secs * 1e3,
+        ppq = pruned_secs * 1e6 / queries.len().max(1) as f64,
+        wms = query_secs * 1e3,
+        pq = query_secs * 1e6 / queries.len().max(1) as f64,
+    );
+    append_record("BENCH_query.json", &pruned_record);
 
     // Read-path correctness gates (all fatal): the panel sweep must
     // reproduce the historical hull gather bit-for-bit, the batched
@@ -524,11 +586,16 @@ fn main() {
         per_s(blocked_eval_secs),
     );
     println!(
-        "query read path (hull {hull_len}, {} queries, {query_threads} threads): full scan \
-         {:.1} us/query, panel scalar {:.1} us/query, batched {:.1} us/query \
+        "query read path (hull {hull_len}, {} queries): full scan {:.1} us/query, pruned \
+         scan {:.1} us/query ({pruned_speedup:.2}x, {:.1} % of nodes evaluated on average, \
+         hull misses {:.1} % of sources, bits match: {pruned_bits_match}), panel scalar \
+         {:.1} us/query, batched ({query_threads} threads) {:.1} us/query \
          ({batched_qps:.0} qps, {batched_speedup:.2}x vs scalar), gates ok: {query_gates_ok}",
         queries.len(),
         query_secs * 1e6 / queries.len().max(1) as f64,
+        pruned_secs * 1e6 / queries.len().max(1) as f64,
+        eval_mean * 100.0,
+        hull_miss_fraction * 100.0,
         scalar_secs_q * 1e6 / queries.len().max(1) as f64,
         batched_secs * 1e6 / queries.len().max(1) as f64,
     );
@@ -549,6 +616,10 @@ fn main() {
     }
     if !chosen_edge_match {
         eprintln!("FAIL: serial and blocked candidate evaluation chose different edges");
+        std::process::exit(1);
+    }
+    if !pruned_bits_match {
+        eprintln!("FAIL: the norm-pruned scan is not bitwise the unpruned full scan");
         std::process::exit(1);
     }
     if !query_gates_ok {

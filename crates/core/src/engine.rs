@@ -225,57 +225,73 @@ impl QueryEngine {
             .collect()
     }
 
-    /// APPROXQUERY-style eccentricity (full scan, `O(n·d)`), for callers
-    /// that want the hull bypassed — the serving tier for mutated live
-    /// views, whose hull is stale. The scan is split over
-    /// [`resolve_threads`]`(params.threads)` chunks
-    /// ([`ResistanceSketch::eccentricity_threaded`]); answers are
-    /// bitwise identical to the sequential scan at every thread count.
+    /// APPROXQUERY-style eccentricity: the maximum over **all** nodes,
+    /// for callers that want the hull bypassed — the serving tier for
+    /// mutated live views, whose hull is stale. Runs the panel's
+    /// norm-pruned scan ([`HullPanel::eccentricity_pruned`]) on the
+    /// calling thread: bitwise the answer of the `O(n·d)`
+    /// [`ResistanceSketch::eccentricity`], usually from a few percent of
+    /// the nodes (all of them in the worst case, on graphs without a
+    /// low-degree periphery; DESIGN §15.5).
     ///
     /// # Panics
     ///
     /// Panics if `v` is out of range.
     pub fn eccentricity_full_scan(&self, v: usize) -> EccentricityAnswer {
-        let threads = resolve_threads(self.params.threads);
-        let (value, farthest) = self.sketch.eccentricity_threaded(v, threads);
-        EccentricityAnswer { value, farthest }
+        let scan = self.panel.eccentricity_pruned(&self.sketch, v);
+        EccentricityAnswer { value: scan.value, farthest: scan.farthest }
     }
 
     /// Batched full scan: [`Self::eccentricity_full_scan`] for a block
-    /// of sources, parallelized *across* sources (each source's scan
-    /// stays sequential, so per-answer bits cannot depend on the batch
-    /// shape). Single-source batches fall back to the within-scan
-    /// threading of [`Self::eccentricity_full_scan`].
+    /// of sources. Sequential unless the batch's worst-case work
+    /// (`sources × n × d`) clears a floor of 2²⁵ multiply-adds; above it
+    /// the sources are split over [`resolve_threads`]`(params.threads)`
+    /// chunks.
     ///
     /// # Panics
     ///
     /// Panics if a source id is out of range.
     pub fn eccentricity_full_scan_batch(&self, sources: &[usize]) -> Vec<EccentricityAnswer> {
-        if sources.len() < 2 {
-            return sources.iter().map(|&v| self.eccentricity_full_scan(v)).collect();
-        }
-        let threads = resolve_threads(self.params.threads).clamp(1, sources.len());
-        if threads == 1 {
-            return sources
-                .iter()
-                .map(|&v| {
-                    let (value, farthest) = self.sketch.eccentricity(v);
-                    EccentricityAnswer { value, farthest }
-                })
-                .collect();
-        }
-        let chunk = sources.len().div_ceil(threads);
+        let work = sources.len() * self.sketch.node_count() * self.sketch.dimension();
+        let threads = if work < PARALLEL_PRUNED_MIN_WORK {
+            1
+        } else {
+            resolve_threads(self.params.threads)
+        };
+        self.eccentricity_full_scan_batch_with(sources, threads)
+    }
+
+    /// [`Self::eccentricity_full_scan_batch`] on exactly
+    /// `min(threads, sources)` contiguous source chunks (the determinism
+    /// test matrix drives this directly). Each source's scan stays
+    /// sequential, so no answer's bits depend on the batch shape or the
+    /// thread count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a source id is out of range.
+    pub fn eccentricity_full_scan_batch_with(
+        &self,
+        sources: &[usize],
+        threads: usize,
+    ) -> Vec<EccentricityAnswer> {
         let mut out = vec![EccentricityAnswer { value: 0.0, farthest: 0 }; sources.len()];
-        std::thread::scope(|scope| {
-            for (src, dst) in sources.chunks(chunk).zip(out.chunks_mut(chunk)) {
-                scope.spawn(move || {
-                    for (&v, slot) in src.iter().zip(dst.iter_mut()) {
-                        let (value, farthest) = self.sketch.eccentricity(v);
-                        *slot = EccentricityAnswer { value, farthest };
-                    }
-                });
+        let scan = |src: &[usize], dst: &mut [EccentricityAnswer]| {
+            for (&v, slot) in src.iter().zip(dst.iter_mut()) {
+                *slot = self.eccentricity_full_scan(v);
             }
-        });
+        };
+        let threads = threads.clamp(1, sources.len().max(1));
+        if threads == 1 {
+            scan(sources, &mut out);
+        } else {
+            let chunk = sources.len().div_ceil(threads);
+            std::thread::scope(|scope| {
+                for (src, dst) in sources.chunks(chunk).zip(out.chunks_mut(chunk)) {
+                    scope.spawn(move || scan(src, dst));
+                }
+            });
+        }
         out
     }
 
@@ -410,7 +426,10 @@ impl QueryEngine {
     /// in-range vertex subset but is *stale* with respect to the mutated
     /// embedding, so hull-restricted eccentricities lose their FASTQUERY
     /// guarantee until a re-sketch. Callers that mutate should answer
-    /// eccentricity queries with [`Self::eccentricity_full_scan`].
+    /// eccentricity queries with [`Self::eccentricity_full_scan`]: the
+    /// new engine's panel re-sorts the nodes by their mutated norms, and
+    /// the update keeps the embeddings' centroid at the origin (`w ⊥ 𝟏`),
+    /// so the norm-pruned scan stays exact and stays cheap.
     ///
     /// # Errors
     ///
@@ -512,6 +531,14 @@ impl QueryEngine {
 /// thread spawns would cost more than the sweep.
 const PARALLEL_BATCH_MIN_WORK: usize = 1 << 16;
 
+/// Batch work floor for [`QueryEngine::eccentricity_full_scan_batch`],
+/// in worst-case multiply-adds (`sources × n × d`, a scan that prunes
+/// nothing). Pruned scans usually evaluate a few percent of that, so a
+/// batch under the floor takes a few milliseconds at most on periphery
+/// graphs and stays on the calling thread; at `n = 5 000`, `d = 818` a
+/// default 8-request serve flush does.
+const PARALLEL_PRUNED_MIN_WORK: usize = 1 << 25;
+
 /// Reusable scratch for [`QueryEngine::eccentricity_after_edge_with`]:
 /// the CG workspace, the (zero-filled) right-hand-side buffer, and the
 /// base-distance buffer. Keep one per worker (or behind a mutex) so warm
@@ -556,7 +583,9 @@ const _: () = {
 mod tests {
     use super::*;
     use crate::exact::ExactResistance;
-    use reecc_graph::generators::{barabasi_albert, line};
+    use reecc_graph::generators::{
+        barabasi_albert, complete, cycle, holme_kim, line, star, with_pendant_periphery,
+    };
 
     fn params() -> SketchParams {
         SketchParams { epsilon: 0.3, seed: 3, ..Default::default() }
@@ -606,7 +635,6 @@ mod tests {
 
     #[test]
     fn removal_what_if_matches_rebuild_and_rejects_bridges() {
-        use reecc_graph::generators::cycle;
         let g = cycle(12);
         let engine = QueryEngine::build(&g, &params()).unwrap();
         let e = Edge::new(0, 1);
@@ -771,7 +799,6 @@ mod tests {
 
     #[test]
     fn add_then_remove_round_trip_stays_close() {
-        use reecc_graph::generators::complete;
         // Add a chord, then remove it again: the pair of rank-1 updates
         // must keep tracking the (restored) exact resistances. The removal
         // leaves a stale projection column, so the tolerance is ε plus the
@@ -821,25 +848,86 @@ mod tests {
 
     #[test]
     fn batch_matrix_is_bitwise_identical_to_sequential() {
-        // The ISSUE's determinism matrix: every batch-size × thread-count
+        // The determinism matrix: every batch-size × thread-count
         // combination must reproduce the sequential per-source answers
-        // bit for bit, for both the hull-panel and full-scan batch paths.
+        // bit for bit — the hull-panel batch on a BA graph, and the
+        // norm-pruned full scan (single and batched) against the O(n·d)
+        // `ResistanceSketch::eccentricity` on fresh and mutated engines.
         let g = barabasi_albert(250, 2, 21);
         let engine = QueryEngine::build(&g, &params()).unwrap();
         let sources: Vec<usize> = (0..16).map(|i| (i * 13) % 250).collect();
         let seq: Vec<_> = sources.iter().map(|&v| engine.eccentricity(v)).collect();
-        let seq_full: Vec<_> =
-            sources.iter().map(|&v| engine.eccentricity_full_scan(v)).collect();
         for batch in [1usize, 2, 7, 16] {
             for threads in [1usize, 2, 4] {
                 let got = engine.eccentricity_batch_with(&sources[..batch], threads);
                 assert_eq!(got, seq[..batch], "batch={batch} threads={threads}");
             }
-            let got_full = engine.eccentricity_full_scan_batch(&sources[..batch]);
-            assert_eq!(got_full, seq_full[..batch], "full-scan batch={batch}");
         }
         // Default-threaded entry point agrees too.
         assert_eq!(engine.eccentricity_batch(&sources), seq);
+
+        // A pendant-periphery analog (the case pruning is for), a BA graph
+        // without a periphery (its worst case), and tie-heavy symmetric
+        // graphs.
+        let periphery = with_pendant_periphery(&holme_kim(100, 3, 0.6, 5), 20, 3, 6);
+        let graphs = [
+            ("periphery", periphery),
+            ("ba", barabasi_albert(120, 3, 7)),
+            ("cycle", cycle(40)),
+            ("star", star(40)),
+            ("complete", complete(24)),
+        ];
+        let coarse = SketchParams { epsilon: 0.5, ..params() };
+        for (name, g) in graphs {
+            let fresh = QueryEngine::build(&g, &coarse).unwrap();
+            // One add and one removal every graph admits: add a chord and
+            // take it out again, or (complete graph) the reverse.
+            let (added, removed) = match g.non_edges().first() {
+                Some(&e) => {
+                    let added = fresh.with_added_edge(e, 17).unwrap().0;
+                    let removed = added.with_removed_edge(e).unwrap().0;
+                    (added, removed)
+                }
+                None => {
+                    let e = Edge::new(0, 1);
+                    let removed = fresh.with_removed_edge(e).unwrap().0;
+                    let added = removed.with_added_edge(e, 17).unwrap().0;
+                    (added, removed)
+                }
+            };
+            for (state, engine) in [("fresh", fresh), ("added", added), ("removed", removed)] {
+                let n = engine.graph().node_count();
+                let bits = |a: EccentricityAnswer| (a.value.to_bits(), a.farthest);
+                let reference: Vec<_> = (0..n)
+                    .map(|v| {
+                        let (value, farthest) = engine.sketch().eccentricity(v);
+                        bits(EccentricityAnswer { value, farthest })
+                    })
+                    .collect();
+                for (v, &want) in reference.iter().enumerate() {
+                    let got = bits(engine.eccentricity_full_scan(v));
+                    assert_eq!(got, want, "{name}/{state}: v={v}");
+                }
+                let sources: Vec<usize> = (0..16).map(|i| (i * 7) % n).collect();
+                let want: Vec<_> = sources.iter().map(|&v| reference[v]).collect();
+                for batch in [1usize, 2, 7, 16] {
+                    for threads in [1usize, 2, 4] {
+                        let got: Vec<_> = engine
+                            .eccentricity_full_scan_batch_with(&sources[..batch], threads)
+                            .into_iter()
+                            .map(bits)
+                            .collect();
+                        assert_eq!(got, want[..batch], "{name}/{state}: b={batch} t={threads}");
+                    }
+                }
+                let got: Vec<_> = engine
+                    .eccentricity_full_scan_batch(&sources)
+                    .into_iter()
+                    .map(bits)
+                    .collect();
+                assert_eq!(got, want, "{name}/{state}: default batch");
+            }
+        }
     }
 
     #[test]

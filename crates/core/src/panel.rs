@@ -36,6 +36,13 @@
 //! keeps every per-(source, vertex) value — and therefore every answer —
 //! bitwise identical to the sequential exact kernel regardless of batch
 //! size or lane packing.
+//!
+//! The panel also carries the node order for the **norm-pruned full
+//! scan** ([`HullPanel::eccentricity_pruned`]): node ids sorted by
+//! descending `‖x_u‖`. The sketch's centroid is the origin, so
+//! `‖x_s − x_t‖ ≤ ‖x_s‖ + ‖x_t‖` is a tight bound, and a scan in that
+//! order can stop once the bound falls below the best distance found —
+//! the exact APPROXQUERY answer from a few percent of the nodes.
 
 use reecc_linalg::vector;
 
@@ -55,7 +62,8 @@ pub const MAX_LANES: usize = 16;
 /// Also carries the per-node squared norms `‖x_u‖²` for **all** `n`
 /// nodes: the what-if warm path reuses them to fill its base-distance
 /// buffer by norms decomposition instead of recomputing every
-/// `‖x_s − x_u‖²` from scratch.
+/// `‖x_s − x_u‖²` from scratch, and the norm-pruned scan visits nodes in
+/// the descending-norm order built from them.
 #[derive(Debug, Clone)]
 pub struct HullPanel {
     /// Hull vertex ids, in the hull's selection order (the candidate
@@ -70,8 +78,26 @@ pub struct HullPanel {
     data_f32: Vec<f32>,
     /// `‖x_u‖²` for every node `u` (what-if warm path + source norms).
     node_norms: Vec<f64>,
+    /// Every node id, sorted by descending `√‖x_u‖²`, ties by ascending
+    /// id (the pruned scan's visiting order).
+    by_norm: Vec<u32>,
+    /// `√‖x_u‖²` of `by_norm[k]`, so the scan reads its bounds in order.
+    by_norm_roots: Vec<f64>,
     /// Embedding dimension `d`.
     d: usize,
+}
+
+/// One norm-pruned scan ([`HullPanel::eccentricity_pruned`]): the
+/// APPROXQUERY answer and how many nodes the scan evaluated to find it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PrunedScan {
+    /// `max_t r̃(s, t)`, bitwise that of
+    /// [`ResistanceSketch::eccentricity`].
+    pub value: f64,
+    /// The lowest node id attaining it.
+    pub farthest: usize,
+    /// Nodes whose distance was computed (`1..=n`).
+    pub evaluated: usize,
 }
 
 impl HullPanel {
@@ -97,7 +123,23 @@ impl HullPanel {
             })
             .collect();
         let norms: Vec<f64> = hull.iter().map(|&j| node_norms[j]).collect();
-        HullPanel { nodes: hull.to_vec(), data, norms, data_f32, node_norms, d }
+        let n32 = u32::try_from(n).expect("node ids must fit in u32");
+        let mut keyed: Vec<(f64, u32)> =
+            node_norms.iter().zip(0..n32).map(|(&sq, u)| (sq.sqrt(), u)).collect();
+        // `total_cmp` orders a NaN norm too; such a node's distances are
+        // NaN and never win, so its position cannot change an answer.
+        keyed.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        let (by_norm_roots, by_norm) = keyed.into_iter().unzip();
+        HullPanel {
+            nodes: hull.to_vec(),
+            data,
+            norms,
+            data_f32,
+            node_norms,
+            by_norm,
+            by_norm_roots,
+            d,
+        }
     }
 
     /// Hull boundary size `h`.
@@ -355,6 +397,47 @@ impl HullPanel {
             *o = (sn + self.node_norms[u] - 2.0 * dot).max(0.0);
         }
     }
+
+    /// Norm-pruned full scan: `max_t r̃(s, t)` over **all** nodes, bitwise
+    /// equal to [`ResistanceSketch::eccentricity`] (value and farthest
+    /// node) for every source, usually after evaluating a few percent of
+    /// the nodes.
+    ///
+    /// Nodes are visited by descending `‖x_t‖`. The triangle inequality
+    /// through the origin bounds every remaining distance by
+    /// `(‖x_s‖ + ‖x_t‖)²`; once that bound, widened by a rounding slack of
+    /// `8(d+8)` machine epsilons, falls strictly below the best distance
+    /// so far, no later node can reach or tie it and the scan stops. A NaN
+    /// bound never stops the scan. Each evaluated node uses the same
+    /// [`vector::dist_sq`] as the full scan, and ties go to the lowest id,
+    /// which is the full scan's first maximum in index order. `sketch`
+    /// must be the one the panel was built from.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` is out of range or `sketch` covers a different node
+    /// count than the panel.
+    pub fn eccentricity_pruned(&self, sketch: &ResistanceSketch, s: usize) -> PrunedScan {
+        assert_eq!(sketch.node_count(), self.by_norm.len(), "sketch does not match the panel");
+        let src = sketch.embedding(s);
+        let src_root = self.node_norms[s].sqrt();
+        let slack = 1.0 + 8.0 * (self.d as f64 + 8.0) * f64::EPSILON;
+        let mut best = (f64::NEG_INFINITY, 0usize);
+        let mut evaluated = 0;
+        for (&t, &root) in self.by_norm.iter().zip(&self.by_norm_roots) {
+            let reach = src_root + root;
+            if reach * reach * slack < best.0 {
+                break;
+            }
+            let t = t as usize;
+            let r = vector::dist_sq(src, sketch.embedding(t));
+            evaluated += 1;
+            if r > best.0 || (r == best.0 && t < best.1) {
+                best = (r, t);
+            }
+        }
+        PrunedScan { value: best.0, farthest: best.1, evaluated }
+    }
 }
 
 #[cfg(test)]
@@ -411,6 +494,63 @@ mod tests {
             assert!((norms - exact).abs() <= eps / 10.0 * exact.max(1e-12), "s={s}");
             assert!((f32v - exact).abs() <= eps / 10.0 * exact.max(1e-12), "s={s}");
         }
+    }
+
+    #[test]
+    fn pruned_scan_breaks_exact_ties_like_the_full_scan() {
+        use crate::sketch::SketchDiagnostics;
+        // Hand-placed 2-d embeddings with exact ties: duplicated points,
+        // a symmetric cross, and node 9, which ties node 3 from source 1
+        // but is visited first because its norm is larger.
+        let pts = [
+            [0.0, 0.0],
+            [1.0, 0.0],
+            [0.0, 1.0],
+            [-1.0, 0.0],
+            [0.0, -1.0],
+            [1.0, 0.0],
+            [0.5, 0.5],
+            [-1.0, 0.0],
+            [0.25, 0.0],
+            [1.0, 2.0],
+        ];
+        let rows = (0..2).map(|i| pts.iter().map(|p| p[i]).collect()).collect();
+        let diagnostics =
+            SketchDiagnostics { rows: 2, converged_first_try: 2, ..Default::default() };
+        let sketch = ResistanceSketch::from_parts(rows, pts.len(), 0.5, diagnostics).unwrap();
+        let panel = HullPanel::build(&sketch, &[1]);
+        for s in 0..pts.len() {
+            let scan = panel.eccentricity_pruned(&sketch, s);
+            let (value, farthest) = sketch.eccentricity(s);
+            assert_eq!(
+                (scan.value.to_bits(), scan.farthest),
+                (value.to_bits(), farthest),
+                "s={s}"
+            );
+            assert!((1..=pts.len()).contains(&scan.evaluated), "s={s}");
+        }
+        // From source 1, node 9 (visited first) and node 3 tie at 4: the
+        // lower id wins. The scan stops before node 6, whose bound
+        // (1 + √½)² < 4.
+        let scan = panel.eccentricity_pruned(&sketch, 1);
+        assert_eq!((scan.value, scan.farthest, scan.evaluated), (4.0, 3, 7));
+    }
+
+    #[test]
+    fn pruned_scan_skips_most_nodes_of_a_periphery_graph() {
+        use reecc_graph::generators::{holme_kim, with_pendant_periphery};
+        // The bitwise tests cannot see a scan that never prunes; this one
+        // pins that pruning happens where it should: on a graph with a
+        // pendant periphery most sources stop after a minority of nodes.
+        let g = with_pendant_periphery(&holme_kim(100, 3, 0.6, 5), 20, 3, 6);
+        let p = SketchParams { epsilon: 0.5, seed: 5, ..Default::default() };
+        let sketch = ResistanceSketch::build(&g, &p).unwrap();
+        let panel = HullPanel::build(&sketch, &[0]);
+        let n = sketch.node_count();
+        let evaluated: usize =
+            (0..n).map(|s| panel.eccentricity_pruned(&sketch, s).evaluated).sum();
+        let mean = evaluated as f64 / (n * n) as f64;
+        assert!(mean < 0.25, "mean evaluated fraction {mean}");
     }
 
     #[test]

@@ -665,61 +665,15 @@ impl ResistanceSketch {
     }
 
     /// APPROXQUERY inner step: `c̄(s) = max_j r̃(s, j)` over all nodes,
-    /// with the farthest node. `O(n·d)`, allocation-free.
+    /// with the farthest node (the first maximum in index order).
+    /// `O(n·d)`, allocation-free. The reference for the norm-pruned scan
+    /// serving uses ([`crate::panel::HullPanel::eccentricity_pruned`]),
+    /// which returns the same bits.
     pub fn eccentricity(&self, s: usize) -> (f64, usize) {
         assert!(s < self.n, "node out of range");
-        self.scan_range(s, 0, self.n)
-    }
-
-    /// [`Self::eccentricity`] with the node scan split over `threads`
-    /// contiguous chunks (`std::thread::scope`, like the build's
-    /// partitioner). Bitwise identical to the sequential scan for every
-    /// thread count: per-pair distances are the same in-order
-    /// [`vector::dist_sq`] reductions, and chunk maxima are merged in
-    /// index order under the same strict `>` rule, so the first global
-    /// maximum wins exactly as in the sequential argmax.
-    ///
-    /// Small scans (`n·d` below a spawn-amortization floor) stay
-    /// sequential regardless of `threads`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is out of range.
-    pub fn eccentricity_threaded(&self, s: usize, threads: usize) -> (f64, usize) {
-        assert!(s < self.n, "node out of range");
-        let threads = threads.clamp(1, self.n);
-        if threads == 1 || self.n * self.d < PARALLEL_SCAN_MIN_WORK {
-            return self.eccentricity(s);
-        }
-        let chunk = self.n.div_ceil(threads);
-        let mut parts: Vec<(f64, usize)> = Vec::with_capacity(threads);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .filter_map(|t| {
-                    let lo = t * chunk;
-                    let hi = ((t + 1) * chunk).min(self.n);
-                    (lo < hi).then(|| scope.spawn(move || self.scan_range(s, lo, hi)))
-                })
-                .collect();
-            for h in handles {
-                parts.push(h.join().expect("scan worker panicked"));
-            }
-        });
-        let mut best = (f64::NEG_INFINITY, 0usize);
-        for (v, i) in parts {
-            if v > best.0 {
-                best = (v, i);
-            }
-        }
-        best
-    }
-
-    /// First-maximum scan of `r̃(s, u)` over `u ∈ [lo, hi)` — the shared
-    /// kernel of the sequential and threaded full scans.
-    fn scan_range(&self, s: usize, lo: usize, hi: usize) -> (f64, usize) {
         let src = &self.data[s * self.d..(s + 1) * self.d];
-        let mut best = (f64::NEG_INFINITY, lo);
-        for u in lo..hi {
+        let mut best = (f64::NEG_INFINITY, 0);
+        for u in 0..self.n {
             let r = vector::dist_sq(src, &self.data[u * self.d..(u + 1) * self.d]);
             if r > best.0 {
                 best = (r, u);
@@ -880,11 +834,6 @@ impl ResistanceSketch {
         PointsView::from_flat(self.d, &self.data)
     }
 }
-
-/// `n·d` floor below which [`ResistanceSketch::eccentricity_threaded`]
-/// stays sequential: under ~64k multiply-adds the scan finishes in a few
-/// microseconds and thread spawns would dominate.
-const PARALLEL_SCAN_MIN_WORK: usize = 1 << 16;
 
 fn row_is_finite(row: &[f64]) -> bool {
     row.iter().all(|x| x.is_finite())
@@ -1149,21 +1098,6 @@ mod tests {
         // Pairwise embedding distances are the resistance estimates —
         // bitwise, since the view borrows the sketch buffer itself.
         assert_eq!(ps.dist_sq(2, 7), sk.resistance(2, 7));
-    }
-
-    #[test]
-    fn threaded_full_scan_is_bitwise_identical() {
-        // Big enough to clear the PARALLEL_SCAN_MIN_WORK floor so the
-        // threaded path actually splits.
-        let g = barabasi_albert(300, 2, 42);
-        let sk = ResistanceSketch::build(&g, &params(0.4)).unwrap();
-        assert!(sk.node_count() * sk.dimension() >= super::PARALLEL_SCAN_MIN_WORK);
-        for s in [0usize, 17, 123, 299] {
-            let seq = sk.eccentricity(s);
-            for threads in [1usize, 2, 3, 4, 7] {
-                assert_eq!(sk.eccentricity_threaded(s, threads), seq, "s={s} t={threads}");
-            }
-        }
     }
 
     #[test]

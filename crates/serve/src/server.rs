@@ -356,37 +356,10 @@ impl TcpServer {
         addr: &str,
         config: ServerConfig,
     ) -> io::Result<TcpServer> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        // The self-wake pair: a loopback connection whose read end sits in
-        // the reactor's poll set. Workers and `stop` write a byte to make
-        // a parked `poll(2)` return immediately.
-        let wake_listener = TcpListener::bind("127.0.0.1:0")?;
-        let wake_tx = TcpStream::connect(wake_listener.local_addr()?)?;
-        let (wake_rx, _) = wake_listener.accept()?;
-        wake_rx.set_nonblocking(true)?;
-        wake_tx.set_nonblocking(true)?;
-        let _ = wake_tx.set_nodelay(true);
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let stats = Arc::new(TransportStats::default());
-        let _ = pool.set_transport_stats(Arc::clone(&stats));
-        let completions =
-            Arc::new(Completions { queue: Mutex::new(Vec::new()), wake: wake_tx.try_clone()? });
-        let reactor = Reactor {
-            pool,
-            config,
-            stats: Arc::clone(&stats),
-            completions,
-            shutdown: Arc::clone(&shutdown),
-            listener,
-            wake_rx,
-            conns: HashMap::new(),
-            wheel: TimerWheel::new(Duration::from_millis(5), 512),
-            next_token: 1,
-            serving: 0,
-            buffered_total: 0,
-        };
+        let (reactor, wake_tx) = Reactor::bind(pool, addr, config)?;
+        let addr = reactor.listener.local_addr()?;
+        let shutdown = Arc::clone(&reactor.shutdown);
+        let stats = Arc::clone(&reactor.stats);
         let reactor_thread = std::thread::Builder::new()
             .name("reecc-serve-reactor".to_string())
             .spawn(move || reactor.run())?;
@@ -569,6 +542,57 @@ struct Reactor {
     buffered_total: usize,
 }
 
+/// Accept-queue length requested for the listener (DESIGN §13.3). The
+/// kernel clamps it to `net.core.somaxconn`.
+const LISTEN_BACKLOG: i32 = 4096;
+
+impl Reactor {
+    /// Bind `addr` and assemble an idle reactor around it; also returns
+    /// the write end of its self-wake pair.
+    fn bind(
+        pool: Arc<ServePool>,
+        addr: &str,
+        config: ServerConfig,
+    ) -> io::Result<(Reactor, TcpStream)> {
+        let listener = TcpListener::bind(addr)?;
+        // std binds with a fixed backlog of 128. A storm the reactor is
+        // not accepting (past the admission slack) waits in that queue,
+        // and an overflowing queue falls back to SYN cookies, which can
+        // lose a client's first bytes. Re-listening only resizes the
+        // queue.
+        sys::listen_backlog(raw_fd(&listener), LISTEN_BACKLOG)?;
+        listener.set_nonblocking(true)?;
+        // The self-wake pair: a loopback connection whose read end sits in
+        // the reactor's poll set. Workers and `stop` write a byte to make
+        // a parked `poll(2)` return immediately.
+        let wake_listener = TcpListener::bind("127.0.0.1:0")?;
+        let wake_tx = TcpStream::connect(wake_listener.local_addr()?)?;
+        let (wake_rx, _) = wake_listener.accept()?;
+        wake_rx.set_nonblocking(true)?;
+        wake_tx.set_nonblocking(true)?;
+        let _ = wake_tx.set_nodelay(true);
+        let stats = Arc::new(TransportStats::default());
+        let _ = pool.set_transport_stats(Arc::clone(&stats));
+        let completions =
+            Arc::new(Completions { queue: Mutex::new(Vec::new()), wake: wake_tx.try_clone()? });
+        let reactor = Reactor {
+            pool,
+            config,
+            stats,
+            completions,
+            shutdown: Arc::new(AtomicBool::new(false)),
+            listener,
+            wake_rx,
+            conns: HashMap::new(),
+            wheel: TimerWheel::new(Duration::from_millis(5), 512),
+            next_token: 1,
+            serving: 0,
+            buffered_total: 0,
+        };
+        Ok((reactor, wake_tx))
+    }
+}
+
 #[cfg(unix)]
 fn raw_fd(socket: &impl std::os::fd::AsRawFd) -> i32 {
     socket.as_raw_fd()
@@ -728,6 +752,10 @@ impl Reactor {
             self.stats.shed.fetch_add(1, Ordering::Relaxed);
             return;
         }
+        // Best-effort, like the wake socket: without it Nagle holds back
+        // the second write of a reply that wraps the output ring until
+        // the client acknowledges the first.
+        let _ = stream.set_nodelay(true);
         let now = Instant::now();
         let token = self.next_token;
         self.next_token += 1;
@@ -1256,6 +1284,26 @@ mod tests {
 
     fn quick_config() -> ServerConfig {
         ServerConfig { poll_interval: Duration::from_millis(10), ..ServerConfig::default() }
+    }
+
+    #[test]
+    fn admitted_connections_get_tcp_nodelay() {
+        let (mut reactor, _wake) =
+            Reactor::bind(test_pool(), "127.0.0.1:0", quick_config()).unwrap();
+        let _client = TcpStream::connect(reactor.listener.local_addr().unwrap()).unwrap();
+        let stream = loop {
+            match reactor.listener.accept() {
+                Ok((stream, _)) => break stream,
+                Err(e) if is_wouldblock(e.kind()) => {
+                    std::thread::sleep(Duration::from_millis(1))
+                }
+                Err(e) => panic!("accept: {e}"),
+            }
+        };
+        assert!(!stream.nodelay().unwrap(), "accepted sockets start with Nagle on");
+        reactor.admit(stream);
+        let conn = reactor.conns.values().next().expect("the connection was admitted");
+        assert!(conn.stream.nodelay().unwrap(), "admit must turn Nagle off");
     }
 
     #[test]

@@ -12,11 +12,13 @@
 //!   flips one process-global atomic, so `reecc serve --addr` can turn a
 //!   termination signal into a graceful drain instead of an abrupt exit;
 //! * [`raise_nofile_limit`] — `setrlimit(2)` for `RLIMIT_NOFILE`, used by
-//!   the connection-storm tests to hold >1k sockets in one process.
+//!   the connection-storm tests to hold >1k sockets in one process;
+//! * [`listen_backlog`] — `listen(2)` re-issued on a bound listener, which
+//!   resizes its accept queue past the fixed backlog `std` binds with.
 //!
 //! Everything is best-effort on non-Unix targets: [`poll_fds`] reports
 //! `Unsupported` (the TCP event loop needs a Unix-ish platform; pipe mode
-//! is unaffected) and the other two quietly do nothing.
+//! is unaffected) and the others quietly do nothing.
 
 use std::io;
 use std::sync::atomic::AtomicBool;
@@ -96,6 +98,17 @@ mod imp {
         fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
         fn getrlimit(resource: i32, rlim: *mut RLimit) -> i32;
         fn setrlimit(resource: i32, rlim: *const RLimit) -> i32;
+        fn listen(sockfd: i32, backlog: i32) -> i32;
+    }
+
+    pub fn listen_backlog(fd: i32, backlog: i32) -> io::Result<()> {
+        // SAFETY: `listen` takes two plain integers and touches no caller
+        // memory; a bad fd is reported through the return value.
+        if unsafe { listen(fd, backlog) } == 0 {
+            Ok(())
+        } else {
+            Err(io::Error::last_os_error())
+        }
     }
 
     pub fn poll_fds(fds: &mut [PollFd], timeout: Duration) -> io::Result<usize> {
@@ -176,6 +189,10 @@ mod imp {
     pub fn raise_nofile_limit(_min: u64) -> u64 {
         0
     }
+
+    pub fn listen_backlog(_fd: i32, _backlog: i32) -> io::Result<()> {
+        Ok(())
+    }
 }
 
 /// Wait until any watched fd is ready or `timeout` elapses; returns the
@@ -205,6 +222,18 @@ pub fn term_flag() -> &'static AtomicBool {
 /// it could not be read. Storm tests call this so >1k sockets fit.
 pub fn raise_nofile_limit(min: u64) -> u64 {
     imp::raise_nofile_limit(min)
+}
+
+/// Re-issue `listen(2)` on the already-listening socket `fd` with a new
+/// accept-queue length. Linux resizes the queue in place (the kernel
+/// clamps `backlog` to `net.core.somaxconn`); nothing else about the
+/// socket changes. A no-op returning `Ok` on non-Unix targets.
+///
+/// # Errors
+///
+/// The raw OS error from `listen(2)` (e.g. `EBADF` for a bad fd).
+pub fn listen_backlog(fd: i32, backlog: i32) -> io::Result<()> {
+    imp::listen_backlog(fd, backlog)
 }
 
 #[cfg(test)]
@@ -243,6 +272,17 @@ mod tests {
         let n = poll_fds(&mut fds, Duration::from_secs(5)).unwrap();
         assert_eq!(n, 1);
         assert!(fds[0].ready(POLLIN), "revents {:#x}", fds[0].revents);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn listen_backlog_resizes_a_bound_listener_and_rejects_bad_fds() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listen_backlog(listener.as_raw_fd(), 4096).unwrap();
+        // Still a working listener afterwards.
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        listener.accept().unwrap();
+        assert!(listen_backlog(-1, 4096).is_err());
     }
 
     #[test]

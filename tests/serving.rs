@@ -519,6 +519,40 @@ fn panel_rebuilds_on_epoch_swap_and_answers_identically() {
 }
 
 #[test]
+fn mutated_epoch_radius_and_diameter_are_the_brute_force_extremes() {
+    use reecc_serve::protocol::Outcome;
+    // A mutated epoch serves the approx tier, so `radius` / `diameter`
+    // sweep every node's norm-pruned full scan. Both must be the min / max
+    // over the O(n·d) scans of the same engine, value bits and node.
+    let live = LiveEngine::ephemeral(engine(), Some(64.0));
+    let (u, v) = absent_pair();
+    live.apply_mutation(reecc_serve::wal::WalOp::AddEdge, u, v).unwrap();
+    let view = live.view();
+    assert_eq!(view.tier, reecc_core::QueryTier::Approx);
+    let (mut min, mut max) = ((f64::INFINITY, 0), (f64::NEG_INFINITY, 0));
+    for s in 0..N {
+        let (c, _) = view.engine.sketch().eccentricity(s);
+        if c < min.0 {
+            min = (c, s);
+        }
+        if c > max.0 {
+            max = (c, s);
+        }
+    }
+    let pool = ServePool::with_live(live, PoolConfig { threads: 2, ..Default::default() });
+    for (request, want) in [(Request::Radius, min), (Request::Diameter, max)] {
+        let resp = pool.run(RequestEnvelope { id: None, deadline_ms: None, request });
+        assert_eq!(resp.tier, Some("approx"), "{request:?}");
+        match resp.outcome {
+            Outcome::Ecc { value, node } => {
+                assert_eq!((value.to_bits(), node), (want.0.to_bits(), want.1), "{request:?}")
+            }
+            other => panic!("{request:?}: {other:?}"),
+        }
+    }
+}
+
+#[test]
 fn coalesced_requests_never_double_count_cache_hits() {
     use reecc_serve::protocol::Outcome;
     // Counter-drift guard for serve-side request coalescing: park the
