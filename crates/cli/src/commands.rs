@@ -75,7 +75,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             addr,
             threads,
             queue_depth,
-            batch_window,
             eps,
             precision,
             precond,
@@ -93,7 +92,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             addr.as_deref(),
             threads,
             queue_depth,
-            batch_window,
             solver_params(eps, precision, precond),
             lcc,
             wal_dir.as_deref(),
@@ -441,7 +439,6 @@ fn serve(
     addr: Option<&str>,
     threads: usize,
     queue_depth: usize,
-    batch_window: usize,
     params: SketchParams,
     lcc: bool,
     wal_dir: Option<&str>,
@@ -514,13 +511,7 @@ fn serve(
     });
     let pool = ServePool::with_live_and_jobs(
         live,
-        PoolConfig {
-            threads,
-            queue_depth,
-            batch_window,
-            snapshot_retries,
-            ..Default::default()
-        },
+        PoolConfig { threads, queue_depth, snapshot_retries, ..Default::default() },
         jobs,
     )
     .map_err(|e| CliError::Io(format!("cannot start job runner: {e}")))?;

@@ -78,8 +78,7 @@ USAGE:
                  [--lcc] [--verify]
   reecc sketch-info  <SNAPSHOT>
   reecc serve    <edges.txt> [--snapshot SNAPSHOT] [--addr HOST:PORT]
-                 [--threads N (0 = auto)] [--queue-depth D]
-                 [--batch-window B (1 = no coalescing)] [--eps X]
+                 [--threads N (0 = auto)] [--queue-depth D] [--eps X]
                  [--precision f64|mixed] [--precond none|jacobi|sgs|cheby] [--lcc]
                  [--wal-dir DIR] [--error-budget X]
                  [--max-jobs N (0 = no job subsystem)] [--job-dir DIR]
@@ -106,7 +105,8 @@ precision-agnostic: the stored format is f64 rows either way.
 ecc | res | radius | diameter | whatif-edge | whatif-remove-edge | add-edge |
 remove-edge | epoch | stats | optimize-submit | optimize-status |
 optimize-cancel | optimize-events | optimize-result) over stdin/stdout, or
-over TCP with --addr. With --snapshot it reuses a
+over TCP with --addr. A worker answers up to 8 queued ecc / radius / diameter
+requests with one batched kernel call. With --snapshot it reuses a
 sketch built by `sketch-build` instead of rebuilding; the snapshot must match
 the graph (fingerprint-checked, transient load errors retried with backoff).
 Worker panics are contained and the worker respawned; on SIGTERM/SIGINT (or

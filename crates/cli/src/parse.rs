@@ -97,7 +97,7 @@ pub enum Command {
         path: String,
     },
     /// `reecc serve <file> [--snapshot SNAP] [--addr HOST:PORT] [--threads N]
-    /// [--queue-depth D] [--batch-window B] [--eps X] [--lcc] [--wal-dir DIR]
+    /// [--queue-depth D] [--eps X] [--lcc] [--wal-dir DIR]
     /// [--error-budget X] [--max-jobs N] [--job-dir DIR] [--max-connections N]
     /// [--idle-timeout SECS] [--write-buffer-cap BYTES]`
     Serve {
@@ -112,10 +112,6 @@ pub enum Command {
         threads: usize,
         /// Bounded queue depth (backpressure threshold).
         queue_depth: usize,
-        /// Request-coalescing window: a worker drains up to this many
-        /// queued eccentricity-family requests into one batched panel
-        /// sweep. `1` disables coalescing.
-        batch_window: usize,
         /// Sketch epsilon (ignored with `--snapshot`).
         eps: f64,
         /// Floating-point mode for sketch builds, including the live
@@ -540,7 +536,6 @@ pub fn parse_command(args: &[String]) -> Result<Command, CliError> {
                 "addr",
                 "threads",
                 "queue-depth",
-                "batch-window",
                 "eps",
                 "precision",
                 "precond",
@@ -568,12 +563,6 @@ pub fn parse_command(args: &[String]) -> Result<Command, CliError> {
             let queue_depth = parse_usize(&flags, "queue-depth")?.unwrap_or(256);
             if queue_depth == 0 {
                 return Err(CliError::Usage("--queue-depth must be at least 1".into()));
-            }
-            let batch_window = parse_usize(&flags, "batch-window")?.unwrap_or(8);
-            if batch_window == 0 {
-                return Err(CliError::Usage(
-                    "--batch-window must be at least 1 (1 disables coalescing)".into(),
-                ));
             }
             let error_budget = flags
                 .get("error-budget")
@@ -610,7 +599,6 @@ pub fn parse_command(args: &[String]) -> Result<Command, CliError> {
                 addr: flags.get("addr").map(|s| s.to_string()),
                 threads,
                 queue_depth,
-                batch_window,
                 eps: parse_eps(&flags)?,
                 precision: parse_precision(&flags)?,
                 precond: parse_precond(&flags)?,
@@ -838,12 +826,10 @@ mod tests {
     fn serve_defaults_to_pipe_mode() {
         let cmd = parse(&["serve", "g.txt"]).unwrap();
         match cmd {
-            Command::Serve {
-                path, snapshot, addr, threads, queue_depth, batch_window, ..
-            } => {
+            Command::Serve { path, snapshot, addr, threads, queue_depth, .. } => {
                 assert_eq!(path, "g.txt");
                 assert_eq!((snapshot, addr), (None, None));
-                assert_eq!((threads, queue_depth, batch_window), (4, 256, 8));
+                assert_eq!((threads, queue_depth), (4, 256));
             }
             other => panic!("{other:?}"),
         }
@@ -858,8 +844,6 @@ mod tests {
             "8",
             "--queue-depth",
             "32",
-            "--batch-window",
-            "16",
         ])
         .unwrap();
         match cmd {
@@ -868,27 +852,17 @@ mod tests {
                 addr,
                 threads,
                 queue_depth,
-                batch_window,
                 wal_dir,
                 error_budget,
                 ..
             } => {
                 assert_eq!(snapshot.as_deref(), Some("g.sketch"));
                 assert_eq!(addr.as_deref(), Some("127.0.0.1:7878"));
-                assert_eq!((threads, queue_depth, batch_window), (8, 32, 16));
+                assert_eq!((threads, queue_depth), (8, 32));
                 assert_eq!((wal_dir, error_budget), (None, None));
             }
             other => panic!("{other:?}"),
         }
-        // A window of 1 is legal (coalescing off); 0 is a usage error.
-        match parse(&["serve", "g.txt", "--batch-window", "1"]).unwrap() {
-            Command::Serve { batch_window, .. } => assert_eq!(batch_window, 1),
-            other => panic!("{other:?}"),
-        }
-        assert!(matches!(
-            parse(&["serve", "g.txt", "--batch-window", "0"]),
-            Err(CliError::Usage(_))
-        ));
     }
 
     #[test]

@@ -173,53 +173,54 @@ impl QueryEngine {
     }
 
     /// FASTQUERY-style eccentricity of `v`: max over the hull boundary,
-    /// `O(l·d)` as one stride-1 sweep of the packed [`HullPanel`] —
-    /// bitwise identical to the historical
-    /// `sketch.eccentricity_over(v, hull)` gather.
+    /// `O(l·d)` as one stride-1 sweep of the packed [`HullPanel`] — a
+    /// batch of one through [`HullPanel::sweep_chunk`], bitwise identical
+    /// to the `sketch.eccentricity_over(v, hull)` gather.
     ///
     /// # Panics
     ///
     /// Panics if `v` is out of range.
     pub fn eccentricity(&self, v: usize) -> EccentricityAnswer {
-        let (value, farthest) = self.panel.eccentricity_exact(self.sketch.embedding(v));
+        let mut out = [(f64::NEG_INFINITY, usize::MAX)];
+        self.panel.sweep_chunk(&self.sketch, &[v], &mut out);
+        let [(value, farthest)] = out;
         EccentricityAnswer { value, farthest }
     }
 
     /// Batched FASTQUERY: answer a block of sources with panel sweeps
-    /// shared across [`crate::panel::MAX_LANES`]-wide lanes, parallelized
-    /// over [`resolve_threads`]`(params.threads)` contiguous source
-    /// chunks. Every answer is bitwise identical to
-    /// [`Self::eccentricity`] for every batch-size × thread-count
-    /// combination: per-source results are independent, and chunking
-    /// only changes which thread computes them.
+    /// shared across [`crate::panel::MAX_LANES`]-wide lanes. Sequential
+    /// unless the batch's work (`sources × h × d`) clears a floor of 2¹⁶
+    /// multiply-adds; above it the sources are split over
+    /// [`resolve_threads`]`(params.threads)` contiguous chunks. Every
+    /// answer is bitwise identical to [`Self::eccentricity`] for every
+    /// batch-size × thread-count combination: per-source results are
+    /// independent, and chunking only changes which thread computes them.
     ///
     /// # Panics
     ///
     /// Panics if a source id is out of range.
     pub fn eccentricity_batch(&self, sources: &[usize]) -> Vec<EccentricityAnswer> {
-        self.eccentricity_batch_with(sources, resolve_threads(self.params.threads))
+        let work = sources.len() * self.panel.len() * self.panel.dim();
+        let threads = self.batch_threads(sources.len(), work, PARALLEL_BATCH_MIN_WORK);
+        self.eccentricity_batch_with(sources, threads)
     }
 
-    /// [`Self::eccentricity_batch`] with an explicit thread count (the
-    /// determinism test matrix drives this directly).
+    /// [`Self::eccentricity_batch`] on exactly `min(threads, sources)`
+    /// contiguous source chunks (the determinism test matrix drives this
+    /// directly).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a source id is out of range.
     pub fn eccentricity_batch_with(
         &self,
         sources: &[usize],
         threads: usize,
     ) -> Vec<EccentricityAnswer> {
         let mut out = vec![(f64::NEG_INFINITY, usize::MAX); sources.len()];
-        let threads = threads.clamp(1, sources.len().max(1));
-        let work = sources.len() * self.panel.len() * self.panel.dim();
-        if threads == 1 || work < PARALLEL_BATCH_MIN_WORK {
-            self.panel.sweep_chunk(&self.sketch, sources, &mut out);
-        } else {
-            let chunk = sources.len().div_ceil(threads);
-            std::thread::scope(|scope| {
-                for (src, dst) in sources.chunks(chunk).zip(out.chunks_mut(chunk)) {
-                    scope.spawn(move || self.panel.sweep_chunk(&self.sketch, src, dst));
-                }
-            });
-        }
+        fan_out(sources, &mut out, threads, |src, dst| {
+            self.panel.sweep_chunk(&self.sketch, src, dst)
+        });
         out.into_iter()
             .map(|(value, farthest)| EccentricityAnswer { value, farthest })
             .collect()
@@ -253,12 +254,22 @@ impl QueryEngine {
     /// Panics if a source id is out of range.
     pub fn eccentricity_full_scan_batch(&self, sources: &[usize]) -> Vec<EccentricityAnswer> {
         let work = sources.len() * self.sketch.node_count() * self.sketch.dimension();
-        let threads = if work < PARALLEL_PRUNED_MIN_WORK {
+        let threads = self.batch_threads(sources.len(), work, PARALLEL_PRUNED_MIN_WORK);
+        self.eccentricity_full_scan_batch_with(sources, threads)
+    }
+
+    /// Threads for a default-threaded batch of `sources` whose worst-case
+    /// `work` is known: one for a single source or below `floor`, where a
+    /// spawn costs more than it saves, else
+    /// [`resolve_threads`]`(params.threads)`. The checks come first
+    /// because resolving `threads: 0` asks the OS each time (about 20 µs
+    /// on a 2-vCPU Linux VM), as long as a small panel sweep.
+    fn batch_threads(&self, sources: usize, work: usize, floor: usize) -> usize {
+        if sources < 2 || work < floor {
             1
         } else {
             resolve_threads(self.params.threads)
-        };
-        self.eccentricity_full_scan_batch_with(sources, threads)
+        }
     }
 
     /// [`Self::eccentricity_full_scan_batch`] on exactly
@@ -276,22 +287,11 @@ impl QueryEngine {
         threads: usize,
     ) -> Vec<EccentricityAnswer> {
         let mut out = vec![EccentricityAnswer { value: 0.0, farthest: 0 }; sources.len()];
-        let scan = |src: &[usize], dst: &mut [EccentricityAnswer]| {
+        fan_out(sources, &mut out, threads, |src, dst| {
             for (&v, slot) in src.iter().zip(dst.iter_mut()) {
                 *slot = self.eccentricity_full_scan(v);
             }
-        };
-        let threads = threads.clamp(1, sources.len().max(1));
-        if threads == 1 {
-            scan(sources, &mut out);
-        } else {
-            let chunk = sources.len().div_ceil(threads);
-            std::thread::scope(|scope| {
-                for (src, dst) in sources.chunks(chunk).zip(out.chunks_mut(chunk)) {
-                    scope.spawn(move || scan(src, dst));
-                }
-            });
-        }
+        });
         out
     }
 
@@ -525,8 +525,33 @@ impl QueryEngine {
     }
 }
 
+/// Answer `sources` into `out` (same length) by running `kernel` on
+/// `min(threads, sources)` contiguous chunks, each on its own scoped
+/// thread, or on the calling thread when that is one chunk. The chunk
+/// boundaries only decide which thread computes an answer, never its
+/// bits: both batch entry points keep each source's kernel sequential.
+fn fan_out<T: Send>(
+    sources: &[usize],
+    out: &mut [T],
+    threads: usize,
+    kernel: impl Fn(&[usize], &mut [T]) + Sync,
+) {
+    let threads = threads.clamp(1, sources.len().max(1));
+    if threads == 1 {
+        kernel(sources, out);
+        return;
+    }
+    let chunk = sources.len().div_ceil(threads);
+    let kernel = &kernel;
+    std::thread::scope(|scope| {
+        for (src, dst) in sources.chunks(chunk).zip(out.chunks_mut(chunk)) {
+            scope.spawn(move || kernel(src, dst));
+        }
+    });
+}
+
 /// Batch work floor (`sources × h × d` multiply-adds) under which
-/// [`QueryEngine::eccentricity_batch_with`] stays single-threaded:
+/// [`QueryEngine::eccentricity_batch`] stays single-threaded:
 /// typical serve-side coalesced batches finish in microseconds and
 /// thread spawns would cost more than the sweep.
 const PARALLEL_BATCH_MIN_WORK: usize = 1 << 16;
@@ -857,6 +882,10 @@ mod tests {
         let engine = QueryEngine::build(&g, &params()).unwrap();
         let sources: Vec<usize> = (0..16).map(|i| (i * 13) % 250).collect();
         let seq: Vec<_> = sources.iter().map(|&v| engine.eccentricity(v)).collect();
+        for (&v, a) in sources.iter().zip(&seq) {
+            let want = engine.sketch().eccentricity_over(v, engine.hull());
+            assert_eq!((a.value.to_bits(), a.farthest), (want.0.to_bits(), want.1), "v={v}");
+        }
         for batch in [1usize, 2, 7, 16] {
             for threads in [1usize, 2, 4] {
                 let got = engine.eccentricity_batch_with(&sources[..batch], threads);

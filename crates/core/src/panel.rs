@@ -5,41 +5,24 @@
 //! vertex `j` — a random-stride walk over the full `n·d` embedding
 //! buffer, re-faulting the same cache lines on every query. A
 //! [`HullPanel`] packs the `h` boundary embeddings into one hull-major
-//! `h×d` block (plus precomputed squared norms) at engine-construction
-//! time, so every query becomes a stride-1 sweep over `h·d` contiguous
-//! doubles that stay resident across queries.
+//! `h×d` block at engine-construction time, so every query becomes a
+//! stride-1 sweep over `h·d` contiguous doubles that stay resident
+//! across queries.
 //!
-//! Three kernels share the panel:
+//! One kernel reads the panel: [`HullPanel::sweep_chunk`] walks it
+//! **once** for a block of up to [`MAX_LANES`] sources (monomorphized
+//! lane widths, the `sweep_const` idiom from the linalg crate), so the
+//! `h×d` block is read once per B queries instead of once per query. A
+//! single query is a block of one. Each lane keeps its own in-order
+//! accumulator — the op sequence of [`vector::dist_sq`] — and its own
+//! first-strict-maximum state, which keeps every answer bitwise
+//! identical to `eccentricity_over(s, hull)` regardless of batch size or
+//! lane packing.
 //!
-//! * **exact** (default): per-row `‖s − j‖²` by the same in-order
-//!   single-accumulator reduction [`vector::dist_sq`] the scalar path
-//!   uses, with the same first-strict-maximum tie rule — bitwise
-//!   identical to `eccentricity_over(s, hull)` for every source.
-//! * **norms-decomposed**: `‖s‖² + ‖j‖² − 2⟨s, j⟩` with the `‖j‖²` terms
-//!   precomputed — one fused multiply stream instead of
-//!   subtract-square-add. Not bitwise equal (the rounding of the three
-//!   terms differs from the fused subtraction), but the absolute error
-//!   is bounded by a few ulps of `‖s‖² + ‖j‖²`, orders of magnitude
-//!   under the sketch's own `ε` floor; the bench gates it within `ε/10`
-//!   of the exact kernel.
-//! * **f32 replica** (opt-in): the same decomposition over an `f32` copy
-//!   of the panel with f64-accumulated dot products
-//!   ([`vector::dot_f32`]), halving scan traffic for callers that accept
-//!   `~1e-7`-relative dots under exact f64 norms.
-//!
-//! Multi-query batching rides the same panel:
-//! [`HullPanel::sweep_chunk`] walks the panel **once** for a block of up
-//! to [`MAX_LANES`] sources (monomorphized lane widths, the
-//! `sweep_const` idiom from the linalg crate), so the `h×d` block is
-//! read once per B queries instead of once per query. Each lane keeps
-//! its own in-order accumulator and its own first-maximum state, which
-//! keeps every per-(source, vertex) value — and therefore every answer —
-//! bitwise identical to the sequential exact kernel regardless of batch
-//! size or lane packing.
-//!
-//! The panel also carries the node order for the **norm-pruned full
-//! scan** ([`HullPanel::eccentricity_pruned`]): node ids sorted by
-//! descending `‖x_u‖`. The sketch's centroid is the origin, so
+//! The panel also carries the per-node squared norms and, built from
+//! them, the node order for the **norm-pruned full scan**
+//! ([`HullPanel::eccentricity_pruned`]): node ids sorted by descending
+//! `‖x_u‖`. The sketch's centroid is the origin, so
 //! `‖x_s − x_t‖ ≤ ‖x_s‖ + ‖x_t‖` is a tight bound, and a scan in that
 //! order can stop once the bound falls below the best distance found —
 //! the exact APPROXQUERY answer from a few percent of the nodes.
@@ -53,11 +36,11 @@ use crate::sketch::ResistanceSketch;
 /// in registers/L1 on every target this crate cares about.
 pub const MAX_LANES: usize = 16;
 
-/// A contiguous, hull-major copy of the hull boundary's embeddings with
-/// precomputed squared norms — the read-path kernel block built once per
-/// [`crate::QueryEngine`] (and therefore rebuilt on every serve-side
-/// epoch swap, mutation, or snapshot restore, which all construct
-/// engines through `build`/`from_parts`).
+/// A contiguous, hull-major copy of the hull boundary's embeddings — the
+/// read-path kernel block built once per [`crate::QueryEngine`] (and
+/// therefore rebuilt on every serve-side epoch swap, mutation, or
+/// snapshot restore, which all construct engines through
+/// `build`/`from_parts`).
 ///
 /// Also carries the per-node squared norms `‖x_u‖²` for **all** `n`
 /// nodes: the what-if warm path reuses them to fill its base-distance
@@ -72,11 +55,7 @@ pub struct HullPanel {
     /// `h×d` hull-major embeddings: row `k` is the embedding of
     /// `nodes[k]`.
     data: Vec<f64>,
-    /// `‖row k‖²`, in-order sums (norms-decomposed kernel).
-    norms: Vec<f64>,
-    /// f32 replica of `data` (opt-in half-traffic kernel).
-    data_f32: Vec<f32>,
-    /// `‖x_u‖²` for every node `u` (what-if warm path + source norms).
+    /// `‖x_u‖²` for every node `u` (what-if warm path + pruned scan).
     node_norms: Vec<f64>,
     /// Every node id, sorted by descending `√‖x_u‖²`, ties by ascending
     /// id (the pruned scan's visiting order).
@@ -115,14 +94,12 @@ impl HullPanel {
         for &j in hull {
             data.extend_from_slice(sketch.embedding(j));
         }
-        let data_f32: Vec<f32> = data.iter().map(|&x| x as f32).collect();
         let node_norms: Vec<f64> = (0..n)
             .map(|u| {
                 let x = sketch.embedding(u);
                 vector::dot(x, x)
             })
             .collect();
-        let norms: Vec<f64> = hull.iter().map(|&j| node_norms[j]).collect();
         let n32 = u32::try_from(n).expect("node ids must fit in u32");
         let mut keyed: Vec<(f64, u32)> =
             node_norms.iter().zip(0..n32).map(|(&sq, u)| (sq.sqrt(), u)).collect();
@@ -130,16 +107,7 @@ impl HullPanel {
         // NaN and never win, so its position cannot change an answer.
         keyed.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
         let (by_norm_roots, by_norm) = keyed.into_iter().unzip();
-        HullPanel {
-            nodes: hull.to_vec(),
-            data,
-            norms,
-            data_f32,
-            node_norms,
-            by_norm,
-            by_norm_roots,
-            d,
-        }
+        HullPanel { nodes: hull.to_vec(), data, node_norms, by_norm, by_norm_roots, d }
     }
 
     /// Hull boundary size `h`.
@@ -162,82 +130,13 @@ impl HullPanel {
         &self.nodes
     }
 
-    /// `‖x_u‖²` for node `u` (in-order self-dot of the embedding).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` is out of range.
-    pub fn node_norm(&self, u: usize) -> f64 {
-        self.node_norms[u]
-    }
-
-    /// Exact kernel: `max_k ‖src − row_k‖²` with the realizing node —
-    /// bitwise identical to `eccentricity_over(s, hull)` (same per-pair
-    /// [`vector::dist_sq`], same candidate order, same strict-`>`
-    /// first-maximum rule).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src.len() != d`.
-    pub fn eccentricity_exact(&self, src: &[f64]) -> (f64, usize) {
-        assert_eq!(src.len(), self.d, "source dimension mismatch");
-        let mut best = (f64::NEG_INFINITY, usize::MAX);
-        for (k, &node) in self.nodes.iter().enumerate() {
-            let r = vector::dist_sq(src, &self.data[k * self.d..(k + 1) * self.d]);
-            if r > best.0 {
-                best = (r, node);
-            }
-        }
-        best
-    }
-
-    /// Norms-decomposed kernel: `‖s‖² + ‖j‖² − 2⟨s, j⟩` per row, with
-    /// `‖j‖²` precomputed and the result clamped at zero (the
-    /// decomposition can round a true zero slightly negative). Within a
-    /// few ulps of the exact kernel; gated within `ε/10` in the bench.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src.len() != d`.
-    pub fn eccentricity_norms(&self, src: &[f64], src_norm: f64) -> (f64, usize) {
-        assert_eq!(src.len(), self.d, "source dimension mismatch");
-        let mut best = (f64::NEG_INFINITY, usize::MAX);
-        for (k, &node) in self.nodes.iter().enumerate() {
-            let dot = vector::dot(src, &self.data[k * self.d..(k + 1) * self.d]);
-            let r = (src_norm + self.norms[k] - 2.0 * dot).max(0.0);
-            if r > best.0 {
-                best = (r, node);
-            }
-        }
-        best
-    }
-
-    /// Opt-in f32 kernel: the norms decomposition over the f32 panel
-    /// replica with f64-accumulated dots and exact f64 norms. Halves
-    /// panel scan traffic at `~1e-7`-relative dot error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src.len() != d`.
-    pub fn eccentricity_f32(&self, src: &[f64], src_norm: f64) -> (f64, usize) {
-        assert_eq!(src.len(), self.d, "source dimension mismatch");
-        let src32: Vec<f32> = src.iter().map(|&x| x as f32).collect();
-        let mut best = (f64::NEG_INFINITY, usize::MAX);
-        for (k, &node) in self.nodes.iter().enumerate() {
-            let dot = vector::dot_f32(&src32, &self.data_f32[k * self.d..(k + 1) * self.d]);
-            let r = (src_norm + self.norms[k] - 2.0 * dot).max(0.0);
-            if r > best.0 {
-                best = (r, node);
-            }
-        }
-        best
-    }
-
-    /// Exact-kernel batch sweep: answer every source in `sources` by
-    /// walking the panel once per block of up to [`MAX_LANES`] lanes.
-    /// Results land in `out` in source order and are bitwise identical
-    /// to calling [`Self::eccentricity_exact`] per source (each lane
-    /// keeps its own in-order accumulator and first-maximum state).
+    /// The hull kernel: `max_k ‖x_s − row_k‖²` with the realizing node
+    /// for every source `s` in `sources`, walking the panel once per
+    /// block of up to [`MAX_LANES`] lanes. Results land in `out` in
+    /// source order and are bitwise identical to
+    /// `eccentricity_over(s, hull)` per source: each lane runs
+    /// [`vector::dist_sq`]'s op sequence per row, in the hull's
+    /// candidate order, with the same strict-`>` first-maximum rule.
     ///
     /// # Panics
     ///
@@ -290,7 +189,7 @@ impl HullPanel {
     /// element, no reassociation, and rustc never contracts `a*b + c`
     /// into a fused multiply-add), so the wide paths remain bitwise
     /// identical to the scalar one — the unit and bench matrices compare
-    /// all of them against [`Self::eccentricity_exact`].
+    /// all of them against `eccentricity_over`.
     fn sweep_const<const B: usize>(
         &self,
         sketch: &ResistanceSketch,
@@ -461,8 +360,9 @@ mod tests {
         let (sketch, hull) = fixture();
         let panel = HullPanel::build(&sketch, &hull);
         for s in 0..sketch.node_count() {
-            let expect = sketch.eccentricity_over(s, &hull);
-            assert_eq!(panel.eccentricity_exact(sketch.embedding(s)), expect, "s={s}");
+            let mut out = [(0.0, 0usize)];
+            panel.sweep_chunk(&sketch, &[s], &mut out);
+            assert_eq!(out[0], sketch.eccentricity_over(s, &hull), "s={s}");
         }
     }
 
@@ -476,23 +376,8 @@ mod tests {
             let mut out = vec![(0.0, 0usize); batch.len()];
             panel.sweep_chunk(&sketch, batch, &mut out);
             for (&s, got) in batch.iter().zip(&out) {
-                assert_eq!(*got, panel.eccentricity_exact(sketch.embedding(s)), "w={width}");
+                assert_eq!(*got, sketch.eccentricity_over(s, &hull), "w={width}");
             }
-        }
-    }
-
-    #[test]
-    fn norms_and_f32_kernels_track_exact_within_epsilon_tenth() {
-        let (sketch, hull) = fixture();
-        let panel = HullPanel::build(&sketch, &hull);
-        let eps = sketch.epsilon();
-        for s in 0..sketch.node_count() {
-            let src = sketch.embedding(s);
-            let (exact, _) = panel.eccentricity_exact(src);
-            let (norms, _) = panel.eccentricity_norms(src, panel.node_norm(s));
-            let (f32v, _) = panel.eccentricity_f32(src, panel.node_norm(s));
-            assert!((norms - exact).abs() <= eps / 10.0 * exact.max(1e-12), "s={s}");
-            assert!((f32v - exact).abs() <= eps / 10.0 * exact.max(1e-12), "s={s}");
         }
     }
 

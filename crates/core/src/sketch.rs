@@ -60,6 +60,25 @@ pub const BLOCK_SIZE_CROSSOVER_NODES: usize = 20_000;
 /// to this node count before narrowing.
 pub const MIXED_BLOCK_SIZE_CROSSOVER_NODES: usize = 40_000;
 
+/// The adaptive blocked-CG width rule, shared by the sketch build and the
+/// optimizers' candidate evaluator so both make the same cache
+/// assumption: an explicit `block_size` is taken verbatim, and `0`
+/// resolves to [`DEFAULT_BLOCK_SIZE`] up to the precision's crossover
+/// node count ([`BLOCK_SIZE_CROSSOVER_NODES`] for f64,
+/// [`MIXED_BLOCK_SIZE_CROSSOVER_NODES`] for mixed) and to
+/// [`LARGE_GRAPH_BLOCK_SIZE`] above it.
+pub fn block_width(block_size: usize, precision: Precision, n: usize) -> usize {
+    let crossover = match precision {
+        Precision::F64 => BLOCK_SIZE_CROSSOVER_NODES,
+        Precision::Mixed => MIXED_BLOCK_SIZE_CROSSOVER_NODES,
+    };
+    match block_size {
+        0 if n > crossover => LARGE_GRAPH_BLOCK_SIZE,
+        0 => DEFAULT_BLOCK_SIZE,
+        b => b,
+    }
+}
+
 /// Floating-point strategy for the sketch's row solves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Precision {
@@ -145,18 +164,11 @@ impl SketchParams {
     }
 
     /// The blocked-CG batch width this parameter set resolves to for an
-    /// `n`-node graph. The choice never changes the sketch bits, only
-    /// throughput, so adapting it to the graph size is safe.
+    /// `n`-node graph ([`block_width`]). The choice never changes the
+    /// sketch bits, only throughput, so adapting it to the graph size is
+    /// safe.
     pub fn effective_block_size(&self, n: usize) -> usize {
-        let crossover = match self.precision {
-            Precision::F64 => BLOCK_SIZE_CROSSOVER_NODES,
-            Precision::Mixed => MIXED_BLOCK_SIZE_CROSSOVER_NODES,
-        };
-        match self.block_size {
-            0 if n > crossover => LARGE_GRAPH_BLOCK_SIZE,
-            0 => DEFAULT_BLOCK_SIZE,
-            b => b,
-        }
+        block_width(self.block_size, self.precision, n)
     }
 
     /// A copy of `self` with any auto-Chebyshev sentinels in the
@@ -224,8 +236,9 @@ impl SketchDiagnostics {
 /// Stored as one flat node-major buffer: the embedding of node `u`
 /// (column `u` of `X̃`) is the contiguous slice `data[u·d..(u+1)·d]`.
 /// Query-time distance evaluations scan two contiguous slices (SIMD
-/// friendly), and [`Self::point_set`] hands the buffer to the hull layer
-/// without a transpose — [`PointSet`] uses the identical layout.
+/// friendly), and [`Self::point_view`] lends the buffer to the hull
+/// layer without a copy or a transpose — [`PointsView`] reads the
+/// identical layout.
 #[derive(Debug, Clone)]
 pub struct ResistanceSketch {
     /// Node-major flat storage; entry `(i, u)` of `X̃` at `data[u*d + i]`.

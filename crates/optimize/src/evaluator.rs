@@ -39,10 +39,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use reecc_core::resolve_threads;
-use reecc_core::sketch::{
-    Precision, ResistanceSketch, SketchParams, BLOCK_SIZE_CROSSOVER_NODES, DEFAULT_BLOCK_SIZE,
-    LARGE_GRAPH_BLOCK_SIZE, MIXED_BLOCK_SIZE_CROSSOVER_NODES,
-};
+use reecc_core::sketch::{block_width, Precision, ResistanceSketch, SketchParams};
 use reecc_core::update::{
     eccentricity_after_edge, solve_edge_potentials_recovering, updated_eccentricity,
 };
@@ -120,19 +117,11 @@ impl CandidateEvaluator {
         }
     }
 
-    /// Concrete block width for an `n`-node graph — the same adaptive
-    /// policy as [`SketchParams::effective_block_size`], including the
-    /// later crossover under [`Precision::Mixed`].
+    /// Concrete block width for an `n`-node graph — the sketch build's
+    /// adaptive rule ([`block_width`]), including the later crossover
+    /// under [`Precision::Mixed`].
     pub fn effective_width(&self, n: usize) -> usize {
-        let crossover = match self.precision {
-            Precision::F64 => BLOCK_SIZE_CROSSOVER_NODES,
-            Precision::Mixed => MIXED_BLOCK_SIZE_CROSSOVER_NODES,
-        };
-        match self.block_size {
-            0 if n > crossover => LARGE_GRAPH_BLOCK_SIZE,
-            0 => DEFAULT_BLOCK_SIZE,
-            b => b,
-        }
+        block_width(self.block_size, self.precision, n)
     }
 
     fn worker_count(&self, jobs: usize) -> usize {

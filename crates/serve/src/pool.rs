@@ -17,11 +17,12 @@
 //!
 //! Every job runs inside `catch_unwind`: a panic in engine code (or an
 //! armed `worker.compute` failpoint) is converted into a structured
-//! `internal` error response for the in-flight request instead of a hung
-//! client. The panicked worker thread then *exits* — its stack and any
-//! half-mutated thread-locals are discarded — and a supervisor thread
-//! respawns a fresh replacement, recording both events in the pool
-//! counters (`panics_total`, `workers_respawned`). The pool therefore
+//! `internal` error response for every not-yet-answered request of the
+//! in-flight flush instead of a hung client. The panicked worker thread
+//! then *exits* — its stack and any half-mutated thread-locals are
+//! discarded — and a supervisor thread respawns a fresh replacement,
+//! recording both events in the pool counters (`panics_total`,
+//! `workers_respawned`). The pool therefore
 //! keeps its configured parallelism through arbitrarily many panics.
 //!
 //! # Graceful drain
@@ -46,6 +47,7 @@ use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Mutex, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
+use reecc_core::engine::EccentricityAnswer;
 use reecc_core::{CoreError, QueryEngine, QueryTier, WhatIfScratch};
 use reecc_graph::Edge;
 
@@ -78,15 +80,6 @@ pub struct PoolConfig {
     /// Transient-error retries it took to load the snapshot this pool
     /// serves (0 when built fresh); surfaced in `stats` for observability.
     pub snapshot_retries: u64,
-    /// Request-coalescing window (`--batch-window`): when a worker
-    /// dequeues an eccentricity-family request (`ecc` / `radius` /
-    /// `diameter`), it opportunistically drains up to this many queued
-    /// requests of the same family and answers them with **one** batched
-    /// panel sweep ([`QueryEngine::eccentricity_batch`]). `1` disables
-    /// coalescing (clamped to at least 1). Per-request deadlines, cache
-    /// keys, and reply ordering are preserved; answers are bitwise
-    /// identical to the scalar path.
-    pub batch_window: usize,
 }
 
 impl Default for PoolConfig {
@@ -98,7 +91,6 @@ impl Default for PoolConfig {
             cache_shards: 8,
             default_deadline: None,
             snapshot_retries: 0,
-            batch_window: 8,
         }
     }
 }
@@ -165,12 +157,10 @@ struct Shared {
     drain_deadline: Mutex<Option<Instant>>,
     threads: usize,
     queue_depth: usize,
-    /// Coalescing window (≥ 1; 1 = coalescing disabled).
-    batch_window: usize,
     /// Requests answered through a coalesced flush of size ≥ 2.
     batched_requests: AtomicU64,
-    /// Coalescing drain cycles (every dequeue of a coalescible request
-    /// when the window is open, whatever occupancy it found).
+    /// Coalescing drain cycles (every dequeue of a coalescible request,
+    /// whatever occupancy it found).
     batch_flushes: AtomicU64,
     /// Sum of flush occupancies; `/ batch_flushes` = average batch size.
     batch_occupancy_sum: AtomicU64,
@@ -268,7 +258,6 @@ impl ServePool {
             drain_deadline: Mutex::new(None),
             threads,
             queue_depth,
-            batch_window: config.batch_window.max(1),
             batched_requests: AtomicU64::new(0),
             batch_flushes: AtomicU64::new(0),
             batch_occupancy_sum: AtomicU64::new(0),
@@ -460,16 +449,7 @@ impl ServePool {
         let op = env.request.op_name();
         let started = Instant::now();
         let Some(runner) = self.shared.jobs.get() else {
-            return Response::error(
-                id,
-                op,
-                ErrorKind::BadRequest,
-                "job subsystem disabled (start serve with --max-jobs >= 1)".to_string(),
-            );
-        };
-        let unknown = |job: u64| Outcome::Error {
-            kind: ErrorKind::BadRequest,
-            message: format!("unknown job {job}"),
+            return Response::untimed(id, op, Outcome::jobs_disabled());
         };
         let outcome = match env.request {
             Request::OptimizeSubmit { spec } => match runner.submit(spec) {
@@ -496,31 +476,26 @@ impl ServePool {
                 // line-by-line instead (see `crate::server`).
                 match runner.status(job) {
                     Some(report) => Outcome::job_status(&report),
-                    None => unknown(job),
+                    None => Outcome::unknown_job(job),
                 }
             }
             Request::OptimizeCancel { job } => match runner.cancel(job) {
                 Some(report) => Outcome::job_status(&report),
-                None => unknown(job),
+                None => Outcome::unknown_job(job),
             },
             Request::OptimizeResult { job, wait } => {
                 let report =
                     if wait { runner.wait(job, JOB_WAIT_TIMEOUT) } else { runner.status(job) };
                 match report {
                     Some(report) => Outcome::job_result(&report),
-                    None => unknown(job),
+                    None => Outcome::unknown_job(job),
                 }
             }
             _ => unreachable!("run_job_op is only called for optimize-* requests"),
         };
         Response {
-            id,
-            op,
-            outcome,
-            tier: None,
-            cached: false,
             compute_micros: started.elapsed().as_micros() as u64,
-            queue_micros: 0,
+            ..Response::untimed(id, op, outcome)
         }
     }
 
@@ -656,9 +631,15 @@ fn tier_name(tier: QueryTier) -> &'static str {
     }
 }
 
+/// How many queued jobs one dequeue may coalesce into a flush: the
+/// first eccentricity-family job plus up to seven more of the family
+/// already waiting behind it. Enough to share the hull panel's widest
+/// 8-lane tail pass without holding the queue lock for long.
+const BATCH_WINDOW: usize = 8;
+
 /// Requests the coalescing drain may batch into one flush: the
 /// eccentricity family, whose misses share one panel sweep. Everything
-/// else (mutations, what-ifs, stats) keeps the scalar path.
+/// else (mutations, what-ifs, stats) is a flush of its own.
 fn coalescible(request: &Request) -> bool {
     matches!(request, Request::Ecc { .. } | Request::Radius | Request::Diameter)
 }
@@ -669,7 +650,7 @@ fn worker_loop(rx: &Arc<Mutex<Receiver<Job>>>, shared: &Shared) -> WorkerExit {
         // coalescing drain); execution runs unlocked so workers overlap
         // on distinct jobs. A non-coalescible job pulled mid-drain cannot
         // be pushed back, so it is carried and processed after the batch.
-        let (mut batch, carry) = {
+        let (batch, carry) = {
             let guard = match rx.lock() {
                 Ok(guard) => guard,
                 Err(_) => return WorkerExit::Clean,
@@ -677,11 +658,11 @@ fn worker_loop(rx: &Arc<Mutex<Receiver<Job>>>, shared: &Shared) -> WorkerExit {
             let Ok(first) = guard.recv() else {
                 return WorkerExit::Clean; // channel closed: shutdown
             };
-            let mut batch = Vec::with_capacity(shared.batch_window.min(16));
+            let mut batch = Vec::with_capacity(BATCH_WINDOW);
             let mut carry = None;
             batch.push(first);
-            if shared.batch_window > 1 && coalescible(&batch[0].env.request) {
-                while batch.len() < shared.batch_window {
+            if coalescible(&batch[0].env.request) {
+                while batch.len() < BATCH_WINDOW {
                     match guard.try_recv() {
                         Ok(next) if coalescible(&next.env.request) => batch.push(next),
                         Ok(next) => {
@@ -694,22 +675,19 @@ fn worker_loop(rx: &Arc<Mutex<Receiver<Job>>>, shared: &Shared) -> WorkerExit {
             }
             (batch, carry)
         };
-        if shared.batch_window > 1 && coalescible(&batch[0].env.request) {
+        if coalescible(&batch[0].env.request) {
             shared.batch_flushes.fetch_add(1, Ordering::Relaxed);
             shared.batch_occupancy_sum.fetch_add(batch.len() as u64, Ordering::Relaxed);
             if batch.len() >= 2 {
                 shared.batched_requests.fetch_add(batch.len() as u64, Ordering::Relaxed);
             }
         }
-        let mut exit = if batch.len() >= 2 {
-            process_batch(shared, batch)
-        } else {
-            process_one(shared, batch.pop().expect("batch holds the dequeued job"))
-        };
-        // The carry is owned by this worker, not the queue: it must be
-        // answered even when the batch panicked this thread toward exit.
+        let mut exit = process(shared, batch);
+        // The carry is owned by this worker, not the queue: it is its own
+        // flush, answered even when the batch panicked this thread toward
+        // exit (`or` evaluates its argument either way).
         if let Some(job) = carry {
-            exit = exit.or(process_one(shared, job));
+            exit = exit.or(process(shared, vec![job]));
         }
         if let Some(reason) = exit {
             return reason;
@@ -717,240 +695,158 @@ fn worker_loop(rx: &Arc<Mutex<Receiver<Job>>>, shared: &Shared) -> WorkerExit {
     }
 }
 
-/// Answer one job on the scalar path. Returns `Some(WorkerExit)` when the
-/// worker thread must exit (contained panic); `None` to keep looping.
-fn process_one(shared: &Shared, job: Job) -> Option<WorkerExit> {
-    let started = Instant::now();
-    let queue_micros = started.duration_since(job.enqueued).as_micros() as u64;
-    let past_drain = shared
-        .drain_deadline
-        .lock()
-        .ok()
-        .and_then(|g| *g)
-        .is_some_and(|deadline| started > deadline);
-    let response = if past_drain {
-        shared.dropped_on_drain.fetch_add(1, Ordering::SeqCst);
-        Response::error(
-            job.env.id,
-            job.env.request.op_name(),
-            ErrorKind::Draining,
-            format!("dropped: still queued {queue_micros}us past the drain deadline"),
-        )
-    } else if job.deadline.is_some_and(|d| started > d) {
-        Response::error(
-            job.env.id,
-            job.env.request.op_name(),
-            ErrorKind::DeadlineExceeded,
-            format!("deadline expired after {queue_micros}us in queue"),
-        )
-    } else {
-        // Containment boundary: a panic below this line costs this
-        // one request (answered with `internal`) and this one worker
-        // thread (respawned by the supervisor) — never the pool.
-        match catch_unwind(AssertUnwindSafe(|| execute(shared, job.env.request))) {
-            Ok((outcome, cached, tier)) => {
-                let tier =
-                    if matches!(outcome, Outcome::Error { .. }) { None } else { Some(tier) };
-                Response {
-                    id: job.env.id,
-                    op: job.env.request.op_name(),
-                    outcome,
-                    tier: tier.map(tier_name),
-                    cached,
-                    compute_micros: started.elapsed().as_micros() as u64,
-                    queue_micros,
-                }
-            }
-            Err(payload) => {
-                shared.panics.fetch_add(1, Ordering::SeqCst);
-                let detail = panic_message(payload.as_ref());
-                let response = Response::error(
-                    job.env.id,
-                    job.env.request.op_name(),
-                    ErrorKind::Internal,
-                    format!(
-                        "worker panicked while serving this request: {detail}; \
-                         the worker was respawned and the pool keeps serving"
-                    ),
-                );
-                shared.served.fetch_add(1, Ordering::SeqCst);
-                (job.reply)(response);
-                // Exit so the half-unwound thread is discarded; the
-                // supervisor spawns a clean replacement.
-                return Some(WorkerExit::Panicked);
-            }
-        }
-    };
+/// Hand `job` its one response and count it as served.
+fn answer(shared: &Shared, job: Job, response: Response) {
     shared.served.fetch_add(1, Ordering::SeqCst);
     (job.reply)(response);
-    None
 }
 
-/// Answer a coalesced flush of eccentricity-family jobs with one batched
-/// sweep.
+/// Answer every job of one dequeue — a coalesced flush, a lone job, or a
+/// carried one. Returns `Some(WorkerExit)` when the worker thread must
+/// exit (contained panic); `None` to keep looping.
 ///
-/// Per-request semantics are identical to the scalar path: drain and
-/// deadline checks run per job, every request performs exactly one cache
-/// lookup under its own key (a hit replies immediately and is never
-/// recomputed), and `ecc` cache misses share a single
-/// [`QueryEngine::eccentricity_batch`] call (full-scan batch on mutated
-/// epochs). `radius` / `diameter` misses share one full sweep that caches
-/// both extremes. The whole compute phase answers against one epoch view,
-/// exactly like a scalar request does.
+/// Drain and deadline checks run per job first and answer without
+/// touching the engine (drain overrides deadline). The compute phase then
+/// answers every remaining job against one epoch view, each after its
+/// own `worker.compute` failpoint hit:
 ///
-/// Panic containment matches the scalar path, widened to the flush: a
-/// panic (engine bug or armed `worker.compute` failpoint) answers every
-/// not-yet-answered job in the flush with an `internal` error, then exits
+/// * `ecc`, `radius` and `diameter` perform exactly one cache lookup per
+///   request under their own key — a hit replies immediately and is
+///   never recomputed. `ecc` misses share one [`eccentricities`] call;
+///   duplicate sources are computed redundantly but bitwise equally, and
+///   each still inserts and answers under its own key. `radius` /
+///   `diameter` misses share one [`radius_diameter_sweep`], which caches
+///   both extremes.
+/// * Every other request is answered in the same loop by [`execute`] and
+///   replied to once the flush has released its view.
+///
+/// A panic (engine bug or armed `worker.compute` failpoint) answers every
+/// not-yet-answered job of the flush with an `internal` error, then exits
 /// the worker for the supervisor to respawn. Every job gets exactly one
 /// reply and one `served` increment on every path.
-fn process_batch(shared: &Shared, jobs: Vec<Job>) -> Option<WorkerExit> {
+fn process(shared: &Shared, jobs: Vec<Job>) -> Option<WorkerExit> {
     let started = Instant::now();
     let drain_deadline = shared.drain_deadline.lock().ok().and_then(|g| *g);
     let mut slots: Vec<Option<Job>> = jobs.into_iter().map(Some).collect();
-    // Per-job admission checks first, exactly as the scalar path orders
-    // them: drain overrides deadline, both answer without touching the
-    // engine.
+    let take = |slot: &mut Option<Job>| slot.take().expect("slot still owned");
     for slot in slots.iter_mut() {
         let job = slot.as_ref().expect("slot still owned");
         let queue_micros = started.duration_since(job.enqueued).as_micros() as u64;
-        if drain_deadline.is_some_and(|deadline| started > deadline) {
+        let (id, op) = (job.env.id, job.env.request.op_name());
+        let response = if drain_deadline.is_some_and(|deadline| started > deadline) {
             shared.dropped_on_drain.fetch_add(1, Ordering::SeqCst);
-            let job = slot.take().expect("slot still owned");
-            let response = Response::error(
-                job.env.id,
-                job.env.request.op_name(),
-                ErrorKind::Draining,
-                format!("dropped: still queued {queue_micros}us past the drain deadline"),
-            );
-            shared.served.fetch_add(1, Ordering::SeqCst);
-            (job.reply)(response);
+            let message =
+                format!("dropped: still queued {queue_micros}us past the drain deadline");
+            Response::error(id, op, ErrorKind::Draining, message)
         } else if job.deadline.is_some_and(|d| started > d) {
-            let job = slot.take().expect("slot still owned");
-            let response = Response::error(
-                job.env.id,
-                job.env.request.op_name(),
-                ErrorKind::DeadlineExceeded,
-                format!("deadline expired after {queue_micros}us in queue"),
-            );
-            shared.served.fetch_add(1, Ordering::SeqCst);
-            (job.reply)(response);
-        }
+            let message = format!("deadline expired after {queue_micros}us in queue");
+            Response::error(id, op, ErrorKind::DeadlineExceeded, message)
+        } else {
+            continue;
+        };
+        answer(shared, take(slot), response);
     }
+    let finish = |job: Job, outcome: Outcome, cached: bool, tier: QueryTier| {
+        let tier = if matches!(outcome, Outcome::Error { .. }) { None } else { Some(tier) };
+        let response = Response {
+            id: job.env.id,
+            op: job.env.request.op_name(),
+            outcome,
+            tier: tier.map(tier_name),
+            cached,
+            compute_micros: started.elapsed().as_micros() as u64,
+            queue_micros: started.duration_since(job.enqueued).as_micros() as u64,
+        };
+        answer(shared, job, response);
+    };
+    // Answers from `execute`, replied only once the flush's epoch view is
+    // released: after a mutation that view is the epoch it replaced, and
+    // a reply sent first lets the next write build a third engine while
+    // the replaced one is still alive.
+    let mut executed = Vec::new();
+    // Containment boundary: a panic below this line costs the flush's
+    // unanswered requests (answered with `internal`) and this one worker
+    // thread (respawned by the supervisor) — never the pool.
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         let view = shared.live.view();
-        let tier = view.tier;
         let fp = view.fingerprint;
         let n = view.engine.graph().node_count();
-        let finish = |job: Job, outcome: Outcome, cached: bool| {
-            let tier = if matches!(outcome, Outcome::Error { .. }) { None } else { Some(tier) };
-            let response = Response {
-                id: job.env.id,
-                op: job.env.request.op_name(),
-                outcome,
-                tier: tier.map(tier_name),
-                cached,
-                compute_micros: started.elapsed().as_micros() as u64,
-                queue_micros: started.duration_since(job.enqueued).as_micros() as u64,
-            };
-            shared.served.fetch_add(1, Ordering::SeqCst);
-            (job.reply)(response);
-        };
-        // Phase 1 — per-job failpoint, validation, and the one cache
-        // lookup each request is entitled to. Hits answer immediately;
-        // misses queue for the shared sweeps.
+        let ecc = |a: CachedAnswer| Outcome::Ecc { value: a.value, node: a.node };
+        // Per job: the failpoint, then the one cache lookup each
+        // eccentricity-family request is entitled to (misses queue for the
+        // shared calls below), or the whole answer for any other request.
         let mut ecc_misses: Vec<(usize, usize)> = Vec::new(); // (slot, v)
         let mut sweep_misses: Vec<usize> = Vec::new(); // slot (radius/diameter)
         for (idx, slot) in slots.iter_mut().enumerate() {
             let Some(job) = slot.as_ref() else { continue };
+            let request = job.env.request;
             if let Err(message) = failpoint::hit("worker.compute") {
-                let job = slot.take().expect("slot still owned");
-                finish(job, Outcome::Error { kind: ErrorKind::Internal, message }, false);
+                let error = Outcome::Error { kind: ErrorKind::Internal, message };
+                finish(take(slot), error, false, view.tier);
                 continue;
             }
-            match job.env.request {
-                Request::Ecc { v } => {
-                    if v >= n {
-                        let job = slot.take().expect("slot still owned");
-                        let message = format!("v = {v} out of range (graph has {n} nodes)");
-                        finish(
-                            job,
-                            Outcome::Error { kind: ErrorKind::BadRequest, message },
-                            false,
-                        );
-                    } else if let Some(hit) = shared.cache.get(&CacheKey::Ecc(fp, v)) {
-                        let job = slot.take().expect("slot still owned");
-                        finish(job, Outcome::Ecc { value: hit.value, node: hit.node }, true);
-                    } else {
-                        ecc_misses.push((idx, v));
-                    }
+            match request {
+                Request::Ecc { v } if v >= n => {
+                    let message = format!("v = {v} out of range (graph has {n} nodes)");
+                    let error = Outcome::Error { kind: ErrorKind::BadRequest, message };
+                    finish(take(slot), error, false, view.tier);
                 }
+                Request::Ecc { v } => match shared.cache.get(&CacheKey::Ecc(fp, v)) {
+                    Some(cached) => finish(take(slot), ecc(cached), true, view.tier),
+                    None => ecc_misses.push((idx, v)),
+                },
                 Request::Radius | Request::Diameter => {
-                    let key = match job.env.request {
+                    let key = match request {
                         Request::Radius => CacheKey::Radius(fp),
                         _ => CacheKey::Diameter(fp),
                     };
-                    if let Some(hit) = shared.cache.get(&key) {
-                        let job = slot.take().expect("slot still owned");
-                        finish(job, Outcome::Ecc { value: hit.value, node: hit.node }, true);
-                    } else {
-                        sweep_misses.push(idx);
+                    match shared.cache.get(&key) {
+                        Some(cached) => finish(take(slot), ecc(cached), true, view.tier),
+                        None => sweep_misses.push(idx),
                     }
                 }
-                _ => unreachable!("only coalescible requests enter a batch"),
+                _ => {
+                    let answered = execute(shared, &view, request);
+                    executed.push((take(slot), answered));
+                }
             }
         }
-        // Phase 2 — one batched panel sweep answers every `ecc` miss.
-        // Duplicate sources are computed redundantly but bitwise equally;
-        // each slot still inserts/answers under its own key exactly once.
+        // One kernel call answers every `ecc` miss, one sweep every
+        // `radius` / `diameter` miss.
         if !ecc_misses.is_empty() {
             let sources: Vec<usize> = ecc_misses.iter().map(|&(_, v)| v).collect();
-            let answers = match tier {
-                QueryTier::Fast => view.engine.eccentricity_batch(&sources),
-                _ => view.engine.eccentricity_full_scan_batch(&sources),
-            };
-            for (&(idx, v), ans) in ecc_misses.iter().zip(&answers) {
+            for (&(idx, v), ans) in ecc_misses.iter().zip(eccentricities(&view, &sources)) {
                 let cached = CachedAnswer { value: ans.value, node: ans.farthest };
                 shared.cache.insert(CacheKey::Ecc(fp, v), cached);
-                let job = slots[idx].take().expect("slot still owned");
-                finish(job, Outcome::Ecc { value: cached.value, node: cached.node }, false);
+                finish(take(&mut slots[idx]), ecc(cached), false, view.tier);
             }
         }
-        // Phase 3 — one full sweep answers every `radius`/`diameter`
-        // miss and caches both extremes, like the scalar path.
         if !sweep_misses.is_empty() {
-            let (min, max) = radius_diameter_sweep(shared, &view, n, fp);
+            let (min, max) = radius_diameter_sweep(shared, &view);
             for idx in sweep_misses {
-                let job = slots[idx].take().expect("slot still owned");
-                let chosen = match job.env.request {
-                    Request::Radius => min,
-                    _ => max,
-                };
-                finish(job, Outcome::Ecc { value: chosen.value, node: chosen.node }, false);
+                let job = take(&mut slots[idx]);
+                let chosen = if matches!(job.env.request, Request::Radius) { min } else { max };
+                finish(job, ecc(chosen), false, view.tier);
             }
         }
     }));
-    match outcome {
-        Ok(()) => None,
-        Err(payload) => {
-            shared.panics.fetch_add(1, Ordering::SeqCst);
-            let detail = panic_message(payload.as_ref());
-            for slot in slots.iter_mut() {
-                let Some(job) = slot.take() else { continue };
-                let response = Response::error(
-                    job.env.id,
-                    job.env.request.op_name(),
-                    ErrorKind::Internal,
-                    format!(
-                        "worker panicked while serving this request: {detail}; \
-                         the worker was respawned and the pool keeps serving"
-                    ),
-                );
-                shared.served.fetch_add(1, Ordering::SeqCst);
-                (job.reply)(response);
-            }
-            Some(WorkerExit::Panicked)
-        }
+    for (job, (outcome, cached, tier)) in executed {
+        finish(job, outcome, cached, tier);
     }
+    let Err(payload) = outcome else { return None };
+    shared.panics.fetch_add(1, Ordering::SeqCst);
+    let detail = panic_message(payload.as_ref());
+    for job in slots.into_iter().flatten() {
+        let message = format!(
+            "worker panicked while serving this request: {detail}; \
+             the worker was respawned and the pool keeps serving"
+        );
+        let (id, op) = (job.env.id, job.env.request.op_name());
+        answer(shared, job, Response::error(id, op, ErrorKind::Internal, message));
+    }
+    // Exit so the half-unwound thread is discarded; the supervisor
+    // spawns a clean replacement.
+    Some(WorkerExit::Panicked)
 }
 
 /// Best-effort extraction of a `panic!` payload message.
@@ -964,27 +860,26 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-fn ecc_answer(view: &EpochView, v: usize) -> CachedAnswer {
-    let ans = match view.tier {
-        QueryTier::Fast => view.engine.eccentricity(v),
-        _ => view.engine.eccentricity_full_scan(v),
-    };
-    CachedAnswer { value: ans.value, node: ans.farthest }
+/// The one tier dispatch for eccentricity answers: FASTQUERY's hull-panel
+/// batch on a `fast` view, the norm-pruned full-scan batch (APPROXQUERY,
+/// bitwise the `O(n·d)` scan) on every other tier. Answers come back in
+/// source order and are bitwise the single-source answers.
+fn eccentricities(view: &EpochView, sources: &[usize]) -> Vec<EccentricityAnswer> {
+    match view.tier {
+        QueryTier::Fast => view.engine.eccentricity_batch(sources),
+        _ => view.engine.eccentricity_full_scan_batch(sources),
+    }
 }
 
-/// One full sweep computing both the radius (min eccentricity) and the
-/// diameter (max); both are inserted into the cache so the sibling query
-/// is a hit. Shared by the scalar path and coalesced flushes.
-fn radius_diameter_sweep(
-    shared: &Shared,
-    view: &EpochView,
-    n: usize,
-    fp: u64,
-) -> (CachedAnswer, CachedAnswer) {
+/// Radius (min eccentricity) and diameter (max) from one
+/// [`eccentricities`] call over every node, folded in index order with
+/// strict `<` / `>` so each extreme keeps its lowest node; both are
+/// inserted into the cache so the sibling query is a hit.
+fn radius_diameter_sweep(shared: &Shared, view: &EpochView) -> (CachedAnswer, CachedAnswer) {
+    let sources: Vec<usize> = (0..view.engine.graph().node_count()).collect();
     let mut min = CachedAnswer { value: f64::INFINITY, node: 0 };
     let mut max = CachedAnswer { value: f64::NEG_INFINITY, node: 0 };
-    for v in 0..n {
-        let ans = ecc_answer(view, v);
+    for (v, ans) in eccentricities(view, &sources).into_iter().enumerate() {
         if ans.value < min.value {
             min = CachedAnswer { value: ans.value, node: v };
         }
@@ -992,24 +887,23 @@ fn radius_diameter_sweep(
             max = CachedAnswer { value: ans.value, node: v };
         }
     }
-    shared.cache.insert(CacheKey::Radius(fp), min);
-    shared.cache.insert(CacheKey::Diameter(fp), max);
+    shared.cache.insert(CacheKey::Radius(view.fingerprint), min);
+    shared.cache.insert(CacheKey::Diameter(view.fingerprint), max);
     (min, max)
 }
 
-/// Run one validated-or-rejected operation, consulting the cache first.
+/// Answer one request other than `ecc` / `radius` / `diameter` (which
+/// [`process`] answers itself) against `view`, consulting the cache
+/// first where the answer is cacheable.
 ///
-/// The epoch view is fetched once up front: the whole request answers
-/// against one consistent engine even if mutations land concurrently.
-/// Cache keys carry the view's fingerprint, so a mutation implicitly
-/// invalidates every cached answer (old-epoch entries age out of the
-/// LRU). Returns the outcome, whether it was cached, and the view's tier.
-fn execute(shared: &Shared, request: Request) -> (Outcome, bool, QueryTier) {
-    let view = shared.live.view();
+/// The whole request answers against the one view its flush fetched,
+/// even if mutations land concurrently. Cache keys carry the view's
+/// fingerprint, so a mutation implicitly invalidates every cached answer
+/// (old-epoch entries age out of the LRU). Returns the outcome, whether
+/// it was cached, and the tier to report: the view's, or for a mutation
+/// the tier the mutation left the live engine at.
+fn execute(shared: &Shared, view: &EpochView, request: Request) -> (Outcome, bool, QueryTier) {
     let tier = view.tier;
-    if let Err(msg) = failpoint::hit("worker.compute") {
-        return (Outcome::Error { kind: ErrorKind::Internal, message: msg }, false, tier);
-    }
     let n = view.engine.graph().node_count();
     let fp = view.fingerprint;
     let bad = |message: String| {
@@ -1019,17 +913,8 @@ fn execute(shared: &Shared, request: Request) -> (Outcome, bool, QueryTier) {
         (node >= n).then(|| format!("{name} = {node} out of range (graph has {n} nodes)"))
     };
     match request {
-        Request::Ecc { v } => {
-            if let Some(msg) = check(v, "v") {
-                return bad(msg);
-            }
-            let key = CacheKey::Ecc(fp, v);
-            if let Some(hit) = shared.cache.get(&key) {
-                return (Outcome::Ecc { value: hit.value, node: hit.node }, true, tier);
-            }
-            let ans = ecc_answer(&view, v);
-            shared.cache.insert(key, ans);
-            (Outcome::Ecc { value: ans.value, node: ans.node }, false, tier)
+        Request::Ecc { .. } | Request::Radius | Request::Diameter => {
+            unreachable!("process answers the eccentricity family itself")
         }
         Request::Res { u, v } => {
             if let Some(msg) = check(u, "u").or_else(|| check(v, "v")) {
@@ -1044,28 +929,25 @@ fn execute(shared: &Shared, request: Request) -> (Outcome, bool, QueryTier) {
             shared.cache.insert(key, CachedAnswer { value, node: 0 });
             (Outcome::Scalar { value }, false, tier)
         }
-        Request::Radius | Request::Diameter => {
-            let key = match request {
-                Request::Radius => CacheKey::Radius(fp),
-                _ => CacheKey::Diameter(fp),
-            };
-            if let Some(hit) = shared.cache.get(&key) {
-                return (Outcome::Ecc { value: hit.value, node: hit.node }, true, tier);
-            }
-            let (min, max) = radius_diameter_sweep(shared, &view, n, fp);
-            let chosen = if matches!(request, Request::Radius) { min } else { max };
-            (Outcome::Ecc { value: chosen.value, node: chosen.node }, false, tier)
-        }
-        Request::WhatIfEdge { s, u, v } => {
+        Request::WhatIfEdge { s, u, v } | Request::WhatIfRemoveEdge { s, u, v } => {
+            let remove = matches!(request, Request::WhatIfRemoveEdge { .. });
             if let Some(msg) = check(s, "s").or_else(|| check(u, "u")).or_else(|| check(v, "v"))
             {
                 return bad(msg);
             }
             if u == v {
-                return bad(format!("whatif-edge needs two distinct endpoints, got {u} twice"));
+                let op = request.op_name();
+                return bad(format!("{op} needs two distinct endpoints, got {u} twice"));
             }
             let (a, b) = if u <= v { (u, v) } else { (v, u) };
-            let key = CacheKey::WhatIf(fp, s, a, b);
+            if remove && !view.engine.graph().has_edge(a, b) {
+                return bad(format!("edge {{{a}, {b}}} is not in the graph"));
+            }
+            let key = if remove {
+                CacheKey::WhatIfRemove(fp, s, a, b)
+            } else {
+                CacheKey::WhatIf(fp, s, a, b)
+            };
             if let Some(hit) = shared.cache.get(&key) {
                 return (Outcome::Ecc { value: hit.value, node: hit.node }, true, tier);
             }
@@ -1075,54 +957,17 @@ fn execute(shared: &Shared, request: Request) -> (Outcome, bool, QueryTier) {
             // scratch makes it usable again.
             let started = Instant::now();
             let ans = {
-                let mut scratch = match shared.whatif.lock() {
-                    Ok(guard) => guard,
-                    Err(poison) => {
-                        let mut guard = poison.into_inner();
-                        guard.reset();
-                        guard
-                    }
-                };
-                view.engine.eccentricity_after_edge_with(&mut scratch, s, Edge::new(a, b))
-            };
-            let micros = started.elapsed().as_micros() as u64;
-            shared.whatif_served.fetch_add(1, Ordering::Relaxed);
-            shared.whatif_micros.fetch_add(micros, Ordering::Relaxed);
-            let cached = CachedAnswer { value: ans.value, node: ans.farthest };
-            shared.cache.insert(key, cached);
-            (Outcome::Ecc { value: cached.value, node: cached.node }, false, tier)
-        }
-        Request::WhatIfRemoveEdge { s, u, v } => {
-            if let Some(msg) = check(s, "s").or_else(|| check(u, "u")).or_else(|| check(v, "v"))
-            {
-                return bad(msg);
-            }
-            if u == v {
-                return bad(format!(
-                    "whatif-remove-edge needs two distinct endpoints, got {u} twice"
-                ));
-            }
-            let (a, b) = if u <= v { (u, v) } else { (v, u) };
-            if !view.engine.graph().has_edge(a, b) {
-                return bad(format!("edge {{{a}, {b}}} is not in the graph"));
-            }
-            let key = CacheKey::WhatIfRemove(fp, s, a, b);
-            if let Some(hit) = shared.cache.get(&key) {
-                return (Outcome::Ecc { value: hit.value, node: hit.node }, true, tier);
-            }
-            // Same warm-scratch path as `whatif-edge`: the removal solve
-            // reuses the pool-held CG workspace and base resistances.
-            let started = Instant::now();
-            let ans = {
-                let mut scratch = match shared.whatif.lock() {
-                    Ok(guard) => guard,
-                    Err(poison) => {
-                        let mut guard = poison.into_inner();
-                        guard.reset();
-                        guard
-                    }
-                };
-                view.engine.eccentricity_after_removal_with(&mut scratch, s, Edge::new(a, b))
+                let mut scratch = shared.whatif.lock().unwrap_or_else(|poison| {
+                    let mut guard = poison.into_inner();
+                    guard.reset();
+                    guard
+                });
+                let edge = Edge::new(a, b);
+                if remove {
+                    view.engine.eccentricity_after_removal_with(&mut scratch, s, edge)
+                } else {
+                    Ok(view.engine.eccentricity_after_edge_with(&mut scratch, s, edge))
+                }
             };
             let micros = started.elapsed().as_micros() as u64;
             shared.whatif_served.fetch_add(1, Ordering::Relaxed);

@@ -347,7 +347,7 @@ pub struct StatsReport {
     /// of two or more (they shared one batched panel sweep).
     pub batched_requests: u64,
     /// Coalescing drain cycles: every dequeue of an eccentricity-family
-    /// request while the batch window was open, whatever it found.
+    /// request, whatever it found behind it.
     pub batch_flushes: u64,
     /// Sum of flush occupancies; divide by `batch_flushes` for the
     /// average batch size the coalescer is achieving.
@@ -519,6 +519,21 @@ impl Outcome {
             detail: report.detail.clone(),
         }
     }
+
+    /// The answer to any job-control op on a server started without a
+    /// job runner.
+    pub fn jobs_disabled() -> Outcome {
+        Outcome::Error {
+            kind: ErrorKind::BadRequest,
+            message: "job subsystem disabled (start serve with --max-jobs >= 1)".to_string(),
+        }
+    }
+
+    /// The answer to a job-control op naming a job the runner does not
+    /// know.
+    pub fn unknown_job(job: u64) -> Outcome {
+        Outcome::Error { kind: ErrorKind::BadRequest, message: format!("unknown job {job}") }
+    }
 }
 
 /// Serialize one streamed `optimize-events` progress line (no trailing
@@ -563,18 +578,24 @@ pub struct Response {
 }
 
 impl Response {
-    /// Build an error response outside the pool (parse failures,
-    /// submission rejections).
-    pub fn error(id: Option<u64>, op: &'static str, kind: ErrorKind, message: String) -> Self {
+    /// A response built outside the worker pool's compute phase (job
+    /// control, rejections): no tier, never cached, zero timings.
+    pub fn untimed(id: Option<u64>, op: &'static str, outcome: Outcome) -> Self {
         Response {
             id,
             op,
-            outcome: Outcome::Error { kind, message },
+            outcome,
             tier: None,
             cached: false,
             compute_micros: 0,
             queue_micros: 0,
         }
+    }
+
+    /// Build an error response outside the pool (parse failures,
+    /// submission rejections).
+    pub fn error(id: Option<u64>, op: &'static str, kind: ErrorKind, message: String) -> Self {
+        Self::untimed(id, op, Outcome::Error { kind, message })
     }
 
     /// Whether this response reports success.

@@ -192,23 +192,16 @@ fn stream_job_events<W: Write>(
     writer: &mut W,
     stats: &mut SessionStats,
 ) -> io::Result<()> {
-    let error = |stats: &mut SessionStats, kind, message: String| {
-        stats.errors += 1;
-        Response::error(id, "optimize-events", kind, message)
-    };
+    let reply = |outcome| Response::untimed(id, "optimize-events", outcome);
     let Some(runner) = pool.jobs() else {
-        let response = error(
-            stats,
-            ErrorKind::BadRequest,
-            "job subsystem disabled (start serve with --max-jobs >= 1)".to_string(),
-        );
-        return write_response(writer, &response);
+        stats.errors += 1;
+        return write_response(writer, &reply(Outcome::jobs_disabled()));
     };
     let mut cursor = since as usize;
     loop {
         let Some((events, terminal)) = runner.events(job, cursor, follow, FOLLOW_TICK) else {
-            let response = error(stats, ErrorKind::BadRequest, format!("unknown job {job}"));
-            return write_response(writer, &response);
+            stats.errors += 1;
+            return write_response(writer, &reply(Outcome::unknown_job(job)));
         };
         for event in &events {
             writer.write_all(render_job_event(id, job, event).as_bytes())?;
@@ -223,16 +216,7 @@ fn stream_job_events<W: Write>(
         }
     }
     let report = runner.status(job).expect("a job that produced events has a status");
-    let response = Response {
-        id,
-        op: "optimize-events",
-        outcome: Outcome::job_status(&report),
-        tier: None,
-        cached: false,
-        compute_micros: 0,
-        queue_micros: 0,
-    };
-    write_response(writer, &response)
+    write_response(writer, &reply(Outcome::job_status(&report)))
 }
 
 fn write_response<W: Write>(writer: &mut W, response: &Response) -> io::Result<()> {
@@ -1121,25 +1105,14 @@ fn poll_active(conn: &mut Conn, token: u64, ctx: &mut Ctx<'_>, pool: &Arc<ServeP
     match active {
         Active::Pool => conn.active = Some(Active::Pool),
         Active::Events { id, job, cursor, follow } => {
+            let reply = |outcome| Response::untimed(id, "optimize-events", outcome);
             let Some(runner) = pool.jobs() else {
-                let response = Response::error(
-                    id,
-                    "optimize-events",
-                    ErrorKind::BadRequest,
-                    "job subsystem disabled (start serve with --max-jobs >= 1)".to_string(),
-                );
-                enqueue_response(conn, token, ctx, &response);
+                enqueue_response(conn, token, ctx, &reply(Outcome::jobs_disabled()));
                 return;
             };
             let Some((events, terminal)) = runner.events(job, cursor, false, Duration::ZERO)
             else {
-                let response = Response::error(
-                    id,
-                    "optimize-events",
-                    ErrorKind::BadRequest,
-                    format!("unknown job {job}"),
-                );
-                enqueue_response(conn, token, ctx, &response);
+                enqueue_response(conn, token, ctx, &reply(Outcome::unknown_job(job)));
                 return;
             };
             for event in &events {
@@ -1151,54 +1124,25 @@ fn poll_active(conn: &mut Conn, token: u64, ctx: &mut Ctx<'_>, pool: &Arc<ServeP
             let cursor = cursor + events.len();
             if terminal || !follow {
                 if let Some(report) = runner.status(job) {
-                    let response = Response {
-                        id,
-                        op: "optimize-events",
-                        outcome: Outcome::job_status(&report),
-                        tier: None,
-                        cached: false,
-                        compute_micros: 0,
-                        queue_micros: 0,
-                    };
-                    enqueue_response(conn, token, ctx, &response);
+                    enqueue_response(conn, token, ctx, &reply(Outcome::job_status(&report)));
                 }
             } else {
                 conn.active = Some(Active::Events { id, job, cursor, follow });
             }
         }
         Active::ResultWait { id, job, started } => {
+            let reply = |outcome| Response::untimed(id, "optimize-result", outcome);
             let Some(runner) = pool.jobs() else {
-                let response = Response::error(
-                    id,
-                    "optimize-result",
-                    ErrorKind::BadRequest,
-                    "job subsystem disabled (start serve with --max-jobs >= 1)".to_string(),
-                );
-                enqueue_response(conn, token, ctx, &response);
+                enqueue_response(conn, token, ctx, &reply(Outcome::jobs_disabled()));
                 return;
             };
             let Some(report) = runner.status(job) else {
-                let response = Response::error(
-                    id,
-                    "optimize-result",
-                    ErrorKind::BadRequest,
-                    format!("unknown job {job}"),
-                );
-                enqueue_response(conn, token, ctx, &response);
+                enqueue_response(conn, token, ctx, &reply(Outcome::unknown_job(job)));
                 return;
             };
             let terminal = matches!(report.state, "completed" | "cancelled" | "failed");
             if terminal || started.elapsed() >= RESULT_WAIT_TIMEOUT {
-                let response = Response {
-                    id,
-                    op: "optimize-result",
-                    outcome: Outcome::job_result(&report),
-                    tier: None,
-                    cached: false,
-                    compute_micros: 0,
-                    queue_micros: 0,
-                };
-                enqueue_response(conn, token, ctx, &response);
+                enqueue_response(conn, token, ctx, &reply(Outcome::job_result(&report)));
             } else {
                 conn.active = Some(Active::ResultWait { id, job, started });
             }

@@ -108,6 +108,72 @@ fn injected_worker_panic_is_contained_and_the_pool_keeps_answering_correctly() {
     failpoint::clear("worker.compute");
 }
 
+/// Scenario 1b (the carry rule): a worker that drains a coalesced flush
+/// and meets a non-coalescible job behind it carries that job as a flush
+/// of its own. When the flush panics, only the flush's requests answer
+/// `internal`; the carried job is still computed, and the pool still
+/// accounts for every request.
+#[test]
+fn a_carried_job_survives_a_panicking_flush() {
+    let _guard = chaos_lock();
+    failpoint::clear("worker.compute");
+    let pool = ServePool::new(
+        engine(),
+        PoolConfig { threads: 1, queue_depth: 16, ..Default::default() },
+    );
+    // Park the single worker inside the reply closure of a warm-up job
+    // (replies run on the worker thread), so the next three requests queue
+    // up behind it and one dequeue pulls them all.
+    let (gate_tx, gate_rx) = std::sync::mpsc::channel::<()>();
+    let (first_tx, first_rx) = std::sync::mpsc::channel();
+    pool.submit_with(
+        ecc_request(0, 0),
+        Box::new(move |resp| {
+            gate_rx.recv().expect("gate sender lives");
+            let _ = first_tx.send(resp);
+        }),
+    )
+    .unwrap();
+    // The worker counts a job as served before calling its reply.
+    while pool.served() < 1 {
+        std::thread::yield_now();
+    }
+    let res = RequestEnvelope {
+        id: Some(3),
+        deadline_ms: None,
+        request: Request::Res { u: 0, v: 3 },
+    };
+    let rxs: Vec<_> = [ecc_request(1, 1), ecc_request(2, 2), res]
+        .into_iter()
+        .map(|env| pool.submit(env).unwrap())
+        .collect();
+    // Armed only now: the warm-up job has already passed its compute hit.
+    failpoint::configure("worker.compute", Action::Panic, Some(1));
+    gate_tx.send(()).unwrap();
+    assert!(first_rx.recv().unwrap().is_ok());
+    let replies: Vec<_> =
+        rxs.into_iter().map(|rx| rx.recv().expect("every request is answered")).collect();
+    for reply in &replies[..2] {
+        let rendered = reply.render();
+        assert!(
+            rendered.contains("\"error\":\"internal\"") && rendered.contains("panic"),
+            "the panicked flush answers each of its requests internal: {rendered}"
+        );
+    }
+    assert!(replies[2].is_ok(), "the carried res must be computed: {}", replies[2].render());
+    assert_eq!(failpoint::fired("worker.compute"), 1);
+    assert_eq!(pool.panics_total(), 1, "one panic, however many requests it cost");
+
+    // The panicked worker exited after the carry; the follow-up needs its
+    // replacement.
+    assert!(pool.run(ecc_request(4, 4)).is_ok());
+    let report = pool.drain(Duration::from_secs(5));
+    failpoint::clear("worker.compute");
+    assert!(pool.workers_respawned() >= 1, "{report:?}");
+    assert_eq!(report.submitted, 5, "{report:?}");
+    assert_eq!(report.answered + report.dropped, report.submitted, "{report:?}");
+}
+
 /// Pull `"value":X` out of a rendered response line.
 fn extract_value(rendered: &str) -> f64 {
     let start = rendered.find("\"value\":").expect("ok response carries a value") + 8;

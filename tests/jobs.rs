@@ -19,7 +19,8 @@ use reecc_serve::{serve_pipe, LiveEngine, PoolConfig, ServePool};
 const EPS: f64 = 0.4;
 const WAIT: Duration = Duration::from_secs(120);
 
-/// Failpoint sites are process-global; tests that arm them serialize.
+/// Failpoint sites are process-global; tests that arm them, or run a job
+/// through them, serialize.
 static FP_LOCK: Mutex<()> = Mutex::new(());
 
 fn graph() -> &'static Graph {
@@ -82,6 +83,9 @@ fn finished_plan(runner: &JobRunner, id: u64, want: &str) -> Vec<(usize, usize, 
 
 #[test]
 fn pipe_session_runs_a_job_to_a_plan_matching_the_direct_optimizer() {
+    // Its job passes the `job.iterate` site, which other tests arm with a
+    // one-shot panic: without the lock this job can take that panic.
+    let _fp = FP_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let pool = ServePool::with_live_and_jobs(
         live(),
         PoolConfig { threads: 2, queue_depth: 32, ..Default::default() },

@@ -519,35 +519,48 @@ fn panel_rebuilds_on_epoch_swap_and_answers_identically() {
 }
 
 #[test]
-fn mutated_epoch_radius_and_diameter_are_the_brute_force_extremes() {
+fn radius_and_diameter_are_the_brute_force_extremes_on_both_tiers() {
+    use reecc_core::QueryTier;
     use reecc_serve::protocol::Outcome;
-    // A mutated epoch serves the approx tier, so `radius` / `diameter`
-    // sweep every node's norm-pruned full scan. Both must be the min / max
-    // over the O(n·d) scans of the same engine, value bits and node.
-    let live = LiveEngine::ephemeral(engine(), Some(64.0));
+    // `radius` / `diameter` fold every node's eccentricity on the view's
+    // tier: the hull panel on a fresh epoch, the norm-pruned full scan on
+    // a mutated one (approx tier). Both must be the min / max of the same
+    // engine's single-source answers — `eccentricity` on the fresh view,
+    // the O(n·d) scans on the mutated one — value bits and node.
+    let fresh = LiveEngine::ephemeral(engine(), Some(64.0));
+    let mutated = LiveEngine::ephemeral(engine(), Some(64.0));
     let (u, v) = absent_pair();
-    live.apply_mutation(reecc_serve::wal::WalOp::AddEdge, u, v).unwrap();
-    let view = live.view();
-    assert_eq!(view.tier, reecc_core::QueryTier::Approx);
-    let (mut min, mut max) = ((f64::INFINITY, 0), (f64::NEG_INFINITY, 0));
-    for s in 0..N {
-        let (c, _) = view.engine.sketch().eccentricity(s);
-        if c < min.0 {
-            min = (c, s);
-        }
-        if c > max.0 {
-            max = (c, s);
-        }
-    }
-    let pool = ServePool::with_live(live, PoolConfig { threads: 2, ..Default::default() });
-    for (request, want) in [(Request::Radius, min), (Request::Diameter, max)] {
-        let resp = pool.run(RequestEnvelope { id: None, deadline_ms: None, request });
-        assert_eq!(resp.tier, Some("approx"), "{request:?}");
-        match resp.outcome {
-            Outcome::Ecc { value, node } => {
-                assert_eq!((value.to_bits(), node), (want.0.to_bits(), want.1), "{request:?}")
+    mutated.apply_mutation(reecc_serve::wal::WalOp::AddEdge, u, v).unwrap();
+    for (live, tier, name) in
+        [(fresh, QueryTier::Fast, "fast"), (mutated, QueryTier::Approx, "approx")]
+    {
+        let view = live.view();
+        assert_eq!(view.tier, tier);
+        let (mut min, mut max) = ((f64::INFINITY, 0), (f64::NEG_INFINITY, 0));
+        for s in 0..N {
+            let c = match tier {
+                QueryTier::Fast => view.engine.eccentricity(s).value,
+                _ => view.engine.sketch().eccentricity(s).0,
+            };
+            if c < min.0 {
+                min = (c, s);
             }
-            other => panic!("{request:?}: {other:?}"),
+            if c > max.0 {
+                max = (c, s);
+            }
+        }
+        let pool = ServePool::with_live(live, PoolConfig { threads: 2, ..Default::default() });
+        for (request, want) in [(Request::Radius, min), (Request::Diameter, max)] {
+            let resp = pool.run(RequestEnvelope { id: None, deadline_ms: None, request });
+            assert_eq!(resp.tier, Some(name), "{request:?}");
+            match resp.outcome {
+                Outcome::Ecc { value, node } => assert_eq!(
+                    (value.to_bits(), node),
+                    (want.0.to_bits(), want.1),
+                    "{name}: {request:?}"
+                ),
+                other => panic!("{name}: {request:?}: {other:?}"),
+            }
         }
     }
 }
@@ -578,7 +591,7 @@ fn coalesced_requests_never_double_count_cache_hits() {
     while pool.served() < 1 {
         std::thread::yield_now();
     }
-    // 6 queued jobs, one flush (window default 8): ecc {7, 7, 42, 5},
+    // 6 queued jobs, one flush (window 8): ecc {7, 7, 42, 5},
     // radius, diameter. Key space: Ecc{5} was cached by the parked
     // warm-up job BEFORE these lookups run, so it is the flush's only
     // hit; Ecc{7} is looked up twice before its single insert — two
