@@ -48,7 +48,10 @@
 //! sources the hull panel under-answers) and `query_batched` (scalar
 //! hull-panel sweeps vs one batched `eccentricity_batch` call over the
 //! same sources — the read-path headline, with per-mode correctness
-//! gates inlined as booleans).
+//! gates inlined as booleans). A fourth, `mutation`, times the write
+//! path: the median `with_added_edge` over 16 chained adds on the same
+//! engine (each add allocates a fresh sketch, so a timing can include
+//! that buffer's page faults).
 //!
 //! The bin never fails on a threshold — slowdowns are reported, not
 //! enforced, so it is safe as a CI step — but it exits non-zero if the
@@ -58,8 +61,9 @@
 //! gate fails (panel sweep vs the hull gather `eccentricity_over`
 //! bitwise, batched kernel vs scalar loop across the batch-size ×
 //! thread-count matrix, pruned scan single and batched vs the unpruned
-//! scan bitwise), because those are correctness bugs, not performance
-//! regressions.
+//! scan bitwise) or the write-path gate fails (the chained engine's
+//! pruned scans vs its unpruned scans bitwise), because those are
+//! correctness bugs, not performance regressions.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
@@ -257,8 +261,7 @@ fn main() {
     }
     let mut fractions: Vec<f64> =
         pruned.iter().map(|p| p.evaluated as f64 / n as f64).collect();
-    fractions.sort_by(f64::total_cmp);
-    let eval_median = fractions.get(fractions.len() / 2).copied().unwrap_or(0.0);
+    let eval_median = median(&mut fractions);
     let eval_mean = fractions.iter().sum::<f64>() / fractions.len().max(1) as f64;
     let eval_max = fractions.last().copied().unwrap_or(0.0);
     let hull_misses = queries
@@ -348,6 +351,58 @@ fn main() {
         bpq = batched_secs * 1e6 / queries.len().max(1) as f64,
     );
     append_record("BENCH_query.json", &batched_record);
+
+    // Write path: 16 chained `with_added_edge` calls on the tier's engine.
+    // Gate: the chained engine's pruned full scans are bitwise its own
+    // sketch's unpruned scans across the batch-size × thread-count matrix.
+    const MUTATION_ADDS: usize = 16;
+    eprintln!("timing {MUTATION_ADDS} chained add-edge mutations ...");
+    let mut current = engine;
+    let mut add_ms = Vec::with_capacity(MUTATION_ADDS);
+    let mut pairs = queries.iter().flat_map(|&u| queries.iter().map(move |&v| (u, v)));
+    for k in 0..MUTATION_ADDS as u64 {
+        let Some(e) = pairs
+            .find(|&(u, v)| u < v && !current.graph().has_edge(u, v))
+            .map(|(u, v)| Edge::new(u, v))
+        else {
+            break;
+        };
+        let ((next, _), secs) =
+            timed(|| current.with_added_edge(e, k).expect("bench non-edges are addable"));
+        add_ms.push(secs * 1e3);
+        current = next;
+    }
+    let mut mutated_scans_match = true;
+    let mutated_full: Vec<(u64, usize)> = queries
+        .iter()
+        .map(|&v| {
+            let (c, f) = current.sketch().eccentricity(v);
+            (c.to_bits(), f)
+        })
+        .collect();
+    for batch in [1usize, 2, 7, 16, queries.len()] {
+        for threads in [1usize, 2, 4] {
+            let got = current.eccentricity_full_scan_batch_with(&queries[..batch], threads);
+            mutated_scans_match &= got
+                .iter()
+                .zip(&mutated_full)
+                .all(|(a, &want)| (a.value.to_bits(), a.farthest) == want);
+        }
+    }
+    let mutation_bits_match = add_ms.len() == MUTATION_ADDS && mutated_scans_match;
+    let add_median = median(&mut add_ms);
+    let mutation_record = format!(
+        "  {{\n    \"bench\": \"mutation\",\n    \"unix_time\": {unix_time},\n    \
+         \"mode\": \"{mode}\",\n    \
+         \"graph\": \"{name}\",\n    \"tier\": \"{tier_name}\",\n    \"n\": {n},\n    \
+         \"m\": {m},\n    \"epsilon\": {eps},\n    \"d\": {d},\n    \
+         \"hull\": {hull_len},\n    \"threads\": 1,\n    \"adds\": {adds},\n    \
+         \"with_added_edge_ms\": {add_median:.3},\n    \
+         \"mutation_bits_match\": {mutation_bits_match}\n  }}",
+        d = blocked.dimension(),
+        adds = add_ms.len(),
+    );
+    append_record("BENCH_query.json", &mutation_record);
 
     // Optimizer-side trajectory: the candidate-evaluation engine on a
     // deterministic pool of non-edges between stride-sampled nodes (the
@@ -581,6 +636,11 @@ fn main() {
         scalar_secs_q * 1e6 / queries.len().max(1) as f64,
         batched_secs * 1e6 / queries.len().max(1) as f64,
     );
+    println!(
+        "write path ({} chained adds): with_added_edge {add_median:.2} ms median, bits \
+         match: {mutation_bits_match}",
+        add_ms.len(),
+    );
     if !reference_ok {
         if mixed {
             eprintln!(
@@ -602,6 +662,14 @@ fn main() {
     }
     if !pruned_bits_match {
         eprintln!("FAIL: the norm-pruned scan is not bitwise the unpruned full scan");
+        std::process::exit(1);
+    }
+    if !mutation_bits_match {
+        eprintln!(
+            "FAIL: write-path gate failed ({} of {MUTATION_ADDS} adds, mutated pruned scans \
+             bitwise: {mutated_scans_match})",
+            add_ms.len()
+        );
         std::process::exit(1);
     }
     if !query_gates_ok {
@@ -645,6 +713,13 @@ fn best_candidate(scores: &[CandidateScore]) -> Option<usize> {
         }
     }
     best.map(|(i, _)| i)
+}
+
+/// Median of a sample, which it sorts in place (the upper one for an
+/// even count; `0` for an empty one).
+fn median(xs: &mut [f64]) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs.get(xs.len() / 2).copied().unwrap_or(0.0)
 }
 
 /// Append one record to a JSON array file without parsing it: an existing

@@ -119,6 +119,19 @@ impl QueryEngine {
         hull: Vec<usize>,
         params: SketchParams,
     ) -> Result<Self, CoreError> {
+        Self::assemble(graph, sketch, hull, params, None)
+    }
+
+    /// [`Self::from_parts`], with the sketch's squared column norms when a
+    /// rank-1 write's pass already took them (so the panel skips its own
+    /// sweep over the sketch).
+    fn assemble(
+        graph: Graph,
+        sketch: ResistanceSketch,
+        hull: Vec<usize>,
+        params: SketchParams,
+        norms: Option<Vec<f64>>,
+    ) -> Result<Self, CoreError> {
         let n = graph.node_count();
         if sketch.node_count() != n {
             return Err(CoreError::Numerical(format!(
@@ -135,10 +148,13 @@ impl QueryEngine {
             return Err(CoreError::NodeOutOfRange { node: bad, n });
         }
         // The panel is rebuilt on *every* construction path — fresh
-        // build, snapshot restore, and the rank-1 mutation clones — so
-        // the serving layer's epoch swaps can never serve a panel packed
-        // from a previous epoch's embeddings.
-        let panel = HullPanel::build(&sketch, &hull);
+        // build, snapshot restore, and the rank-1 mutations — so the
+        // serving layer's epoch swaps can never serve a panel packed from
+        // a previous epoch's embeddings.
+        let panel = match norms {
+            Some(norms) => HullPanel::with_norms(&sketch, &hull, norms),
+            None => HullPanel::build(&sketch, &hull),
+        };
         Ok(QueryEngine { graph, sketch, hull, panel, params })
     }
 
@@ -418,7 +434,7 @@ impl QueryEngine {
 
     /// Live mutation: a new engine for the graph **plus** edge `e`, via
     /// one CG solve and a Sherman–Morrison rank-1 sketch update
-    /// ([`ResistanceSketch::apply_add_edge`]) — `O(n·d)` instead of a full
+    /// ([`ResistanceSketch::added_edge`]) — `O(n·d)` instead of a full
     /// rebuild. Returns the new engine and the measured `r(u, v)` on the
     /// pre-addition graph (the serving layer's error-budget input).
     ///
@@ -461,15 +477,15 @@ impl QueryEngine {
             &mut scratch.rhs,
         );
         let graph = self.graph.with_edge(e).map_err(|g| CoreError::Numerical(g.to_string()))?;
-        let mut sketch = self.sketch.clone();
-        sketch.apply_add_edge(e, &w, r_uv, q_seed);
-        let engine = QueryEngine::from_parts(graph, sketch, self.hull.clone(), self.params)?;
+        let (sketch, norms) = self.sketch.added_edge(e, &w, r_uv, q_seed);
+        let engine =
+            Self::assemble(graph, sketch, self.hull.clone(), self.params, Some(norms))?;
         Ok((engine, r_uv))
     }
 
     /// Live mutation: a new engine for the graph **minus** edge `e`, via
     /// one CG solve and the rank-1 downdate
-    /// ([`ResistanceSketch::apply_remove_edge`]). Returns the new engine
+    /// ([`ResistanceSketch::removed_edge`]). Returns the new engine
     /// and the measured `r(u, v)` on the pre-removal graph.
     ///
     /// Connectivity is checked structurally (BFS on the cut graph) before
@@ -503,9 +519,9 @@ impl QueryEngine {
             &mut scratch.ws,
             &mut scratch.rhs,
         );
-        let mut sketch = self.sketch.clone();
-        sketch.apply_remove_edge(e, &w, r_uv)?;
-        let engine = QueryEngine::from_parts(graph, sketch, self.hull.clone(), self.params)?;
+        let (sketch, norms) = self.sketch.removed_edge(e, &w, r_uv)?;
+        let engine =
+            Self::assemble(graph, sketch, self.hull.clone(), self.params, Some(norms))?;
         Ok((engine, r_uv))
     }
 
@@ -961,10 +977,10 @@ mod tests {
 
     #[test]
     fn mutated_engine_rebuilds_panel_and_answers_identically() {
-        // A rank-1 mutation clones the engine through `from_parts`, which
-        // must repack the panel from the *mutated* embeddings: hull
-        // answers on the new engine have to match a by-hand
-        // `eccentricity_over` sweep of its own sketch, not the parent's.
+        // A rank-1 mutation must repack the panel from the *mutated*
+        // embeddings: hull answers on the new engine have to match a
+        // by-hand `eccentricity_over` sweep of its own sketch, not the
+        // parent's.
         let g = barabasi_albert(80, 2, 31);
         let engine = QueryEngine::build(&g, &params()).unwrap();
         let e = engine.graph().non_edges()[0];
@@ -979,6 +995,37 @@ mod tests {
             mutated.eccentricity(e.u),
             "mutation must be visible through the panel"
         );
+    }
+
+    #[test]
+    fn mutation_norms_order_the_panel_like_a_fresh_build() {
+        // The write path hands the panel the norms its rank-1 pass took.
+        // Reassembling the same parts through `from_parts` takes them
+        // afresh; every pruned scan must then agree on the answer and on
+        // how many nodes it evaluated, which pins the visiting order.
+        let g = barabasi_albert(80, 2, 31);
+        let engine = QueryEngine::build(&g, &params()).unwrap();
+        let (added, _) = engine.with_added_edge(engine.graph().non_edges()[3], 5).unwrap();
+        let removal = *added.graph().edges().iter().find(|e| e.u == 0).unwrap();
+        let (removed, _) = added.with_removed_edge(removal).unwrap();
+        for mutated in [&added, &removed] {
+            let rebuilt = QueryEngine::from_parts(
+                mutated.graph().clone(),
+                mutated.sketch().clone(),
+                mutated.hull().to_vec(),
+                *mutated.params(),
+            )
+            .unwrap();
+            for v in 0..g.node_count() {
+                let got = mutated.panel().eccentricity_pruned(mutated.sketch(), v);
+                let want = rebuilt.panel().eccentricity_pruned(rebuilt.sketch(), v);
+                assert_eq!(
+                    (got.value.to_bits(), got.farthest, got.evaluated),
+                    (want.value.to_bits(), want.farthest, want.evaluated),
+                    "v={v}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -39,8 +39,9 @@ pub const MAX_LANES: usize = 16;
 /// A contiguous, hull-major copy of the hull boundary's embeddings — the
 /// read-path kernel block built once per [`crate::QueryEngine`] (and
 /// therefore rebuilt on every serve-side epoch swap, mutation, or
-/// snapshot restore, which all construct engines through
-/// `build`/`from_parts`).
+/// snapshot restore). Mutations hand over the norms their rank-1 pass
+/// took (`with_norms`); every other engine takes them in
+/// [`Self::build`].
 ///
 /// Also carries the per-node squared norms `‖x_u‖²` for **all** `n`
 /// nodes: the what-if warm path reuses them to fill its base-distance
@@ -80,26 +81,51 @@ pub struct PrunedScan {
 }
 
 impl HullPanel {
-    /// Pack the panel from a sketch and its hull boundary.
+    /// Pack the panel from a sketch and its hull boundary, taking every
+    /// node's squared norm with [`vector::column_norms_sq`] (fresh builds
+    /// and snapshot loads).
     ///
     /// # Panics
     ///
     /// Panics if `hull` is empty or contains out-of-range ids (the
     /// engine validates both before building).
     pub fn build(sketch: &ResistanceSketch, hull: &[usize]) -> Self {
+        let mut node_norms = vec![0.0; sketch.node_count()];
+        vector::column_norms_sq(sketch.flat(), sketch.dimension(), &mut node_norms);
+        Self::with_norms(sketch, hull, node_norms)
+    }
+
+    /// Pack the panel from a sketch, its hull boundary and the squared
+    /// norms `node_norms[u] = ‖x_u‖²` already taken — the rank-1 writes
+    /// take them while each new column is in cache
+    /// ([`ResistanceSketch::added_edge`]). They must be bitwise
+    /// `vector::dot(x_u, x_u)`: the pruned scan's exactness rests on them
+    /// (checked in debug builds).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hull` is empty or contains out-of-range ids, or if
+    /// `node_norms` does not hold one norm per node.
+    pub(crate) fn with_norms(
+        sketch: &ResistanceSketch,
+        hull: &[usize],
+        node_norms: Vec<f64>,
+    ) -> Self {
         assert!(!hull.is_empty(), "hull boundary must be non-empty");
-        let d = sketch.dimension();
         let n = sketch.node_count();
+        assert_eq!(node_norms.len(), n, "one squared norm per node");
+        debug_assert!(
+            node_norms.iter().enumerate().all(|(u, sq)| {
+                let x = sketch.embedding(u);
+                sq.to_bits() == vector::dot(x, x).to_bits()
+            }),
+            "node norms must be bitwise dot(x, x)"
+        );
+        let d = sketch.dimension();
         let mut data = Vec::with_capacity(hull.len() * d);
         for &j in hull {
             data.extend_from_slice(sketch.embedding(j));
         }
-        let node_norms: Vec<f64> = (0..n)
-            .map(|u| {
-                let x = sketch.embedding(u);
-                vector::dot(x, x)
-            })
-            .collect();
         let n32 = u32::try_from(n).expect("node ids must fit in u32");
         let mut keyed: Vec<(f64, u32)> =
             node_norms.iter().zip(0..n32).map(|(&sq, u)| (sq.sqrt(), u)).collect();

@@ -714,7 +714,9 @@ impl ResistanceSketch {
     }
 
     /// Sherman–Morrison rank-1 update of the sketch for **adding** edge
-    /// `e = (u, v)`, in place.
+    /// `e = (u, v)`: the new sketch and its `n` squared column norms
+    /// `‖x'_j‖²`, each bitwise `vector::dot(x'_j, x'_j)` (the engine's
+    /// hull panel takes them instead of sweeping the new sketch again).
     ///
     /// With `b = e_u − e_v`, `w = L†b` (`potentials`, one CG solve on the
     /// *pre-addition* graph) and `r = bᵀL†b = w_u − w_v` (`r_uv`), the new
@@ -730,45 +732,37 @@ impl ResistanceSketch {
     /// `q_seed` with entries `±1/√d` where `d` is the *surviving*
     /// dimension — the drop-rescale `√(d₀/d)` of the build is already
     /// folded into the stored columns, so the effective projection entries
-    /// are `±1/√d` throughout. Cost `O(n·d)`.
+    /// are `±1/√d` throughout. Cost `O(n·d)`: one read of this sketch and
+    /// one write of the new one (see [`Self::rank_one`]).
     ///
-    /// Build diagnostics and `ε` are left untouched: the update adds no
-    /// solver error beyond the CG tolerance of `potentials`, and the added
-    /// JL column keeps the estimator unbiased at the same dimension.
+    /// Build diagnostics and `ε` carry over: the update adds no solver
+    /// error beyond the CG tolerance of `potentials`, and the added JL
+    /// column keeps the estimator unbiased at the same dimension.
     ///
     /// # Panics
     ///
     /// Panics if an endpoint is out of range, `potentials.len() != n`, or
     /// the sketch has dimension 0.
-    pub fn apply_add_edge(&mut self, e: Edge, potentials: &[f64], r_uv: f64, q_seed: u64) {
+    pub fn added_edge(
+        &self,
+        e: Edge,
+        potentials: &[f64],
+        r_uv: f64,
+        q_seed: u64,
+    ) -> (ResistanceSketch, Vec<f64>) {
         let d = self.d;
         assert!(d > 0, "cannot update a zero-dimension sketch");
         assert!(e.v < self.n, "edge endpoint out of range");
         assert_eq!(potentials.len(), self.n, "potentials length mismatch");
         let q = projection_column(d, q_seed);
         let denom = 1.0 + r_uv;
-        // The update direction must be captured before any column mutates.
-        let mut dir = vec![0.0; d];
-        {
-            let xu = &self.data[e.u * d..(e.u + 1) * d];
-            let xv = &self.data[e.v * d..(e.v + 1) * d];
-            for i in 0..d {
-                dir[i] = (q[i] - xu[i] + xv[i]) / denom;
-            }
-        }
-        for (j, &wj) in potentials.iter().enumerate() {
-            if wj == 0.0 {
-                continue;
-            }
-            let col = &mut self.data[j * d..(j + 1) * d];
-            for (c, &g) in col.iter_mut().zip(&dir) {
-                *c += g * wj;
-            }
-        }
+        let (xu, xv) = (self.embedding(e.u), self.embedding(e.v));
+        let dir: Vec<f64> = (0..d).map(|i| (q[i] - xu[i] + xv[i]) / denom).collect();
+        self.rank_one(&dir, potentials)
     }
 
     /// Sherman–Morrison rank-1 downdate of the sketch for **removing**
-    /// edge `e = (u, v)`, in place.
+    /// edge `e = (u, v)`: the new sketch and its `n` squared column norms.
     ///
     /// With `w = L†b` and `r = r(u, v)` measured on the *pre-removal*
     /// graph, the pseudoinverse downdate `L'† = L† + wwᵀ/(1 − r)` gives
@@ -777,7 +771,7 @@ impl ResistanceSketch {
     /// X̃'' = X̃ + (x_u − x_v) · wᵀ / (1 − r).
     /// ```
     ///
-    /// Unlike [`Self::apply_add_edge`] this is *not* exact: the removed
+    /// Unlike [`Self::added_edge`] this is *not* exact: the removed
     /// incidence row's projection column stays folded into the sketch,
     /// leaving a residual `−q_ρ wᵀ/(1 − r)` (`‖q_ρ‖ = 1`) that inflates
     /// `r̃(s, t)` by at most `r(s, t)·r/(1 − r)` plus a mean-zero cross
@@ -788,8 +782,8 @@ impl ResistanceSketch {
     ///
     /// # Errors
     ///
-    /// [`CoreError::DisconnectingRemoval`] when `1 − r_uv ≤ 1e-6`; the
-    /// sketch is left untouched. The floor is deliberately looser than the
+    /// [`CoreError::DisconnectingRemoval`] when `1 − r_uv ≤ 1e-6`, before
+    /// anything is allocated. The floor is deliberately looser than the
     /// dense-pseudoinverse guard in [`crate::update::pinv_remove_edge`]
     /// because `r_uv` here comes from a CG solve (default tolerance 1e-8):
     /// a true bridge can measure as `r = 1 ± 1e-8`, which a 1e-12 floor
@@ -799,12 +793,12 @@ impl ResistanceSketch {
     ///
     /// Panics if an endpoint is out of range, `potentials.len() != n`, or
     /// the sketch has dimension 0.
-    pub fn apply_remove_edge(
-        &mut self,
+    pub fn removed_edge(
+        &self,
         e: Edge,
         potentials: &[f64],
         r_uv: f64,
-    ) -> Result<(), CoreError> {
+    ) -> Result<(ResistanceSketch, Vec<f64>), CoreError> {
         let d = self.d;
         assert!(d > 0, "cannot update a zero-dimension sketch");
         assert!(e.v < self.n, "edge endpoint out of range");
@@ -813,24 +807,52 @@ impl ResistanceSketch {
         if denom <= 1e-6 {
             return Err(CoreError::DisconnectingRemoval { u: e.u, v: e.v, r_uv });
         }
-        let mut dir = vec![0.0; d];
-        {
-            let xu = &self.data[e.u * d..(e.u + 1) * d];
-            let xv = &self.data[e.v * d..(e.v + 1) * d];
-            for i in 0..d {
-                dir[i] = (xu[i] - xv[i]) / denom;
+        let (xu, xv) = (self.embedding(e.u), self.embedding(e.v));
+        let dir: Vec<f64> = (0..d).map(|i| (xu[i] - xv[i]) / denom).collect();
+        Ok(self.rank_one(&dir, potentials))
+    }
+
+    /// The pass both rank-1 updates share: column `j` of the new sketch is
+    /// `x_j + dir·w_j`, written straight into a fresh buffer, so the old
+    /// sketch is read once and the new one written once. Every
+    /// [`vector::NORM_LANES`] columns, the block just written (still in
+    /// cache) gets its squared norms from [`vector::column_norms_sq`].
+    ///
+    /// Each entry is `c + g·w_j`, unfused: WAL replay and
+    /// `tests/golden/mutated_epoch.sketch` pin these bits. A column with
+    /// `w_j == 0.0` (either sign) is copied verbatim: `c + g·0.0` would
+    /// turn a `−0.0` entry into `+0.0`.
+    fn rank_one(&self, dir: &[f64], potentials: &[f64]) -> (ResistanceSketch, Vec<f64>) {
+        let d = self.d;
+        let block = vector::NORM_LANES;
+        let mut data = Vec::with_capacity(self.n * d);
+        let mut norms = vec![0.0; self.n];
+        let blocks = self
+            .data
+            .chunks(block * d)
+            .zip(potentials.chunks(block))
+            .zip(norms.chunks_mut(block));
+        for ((cols, ws), block_norms) in blocks {
+            let start = data.len();
+            for (x, &wj) in cols.chunks_exact(d).zip(ws) {
+                if wj == 0.0 {
+                    data.extend_from_slice(x);
+                } else {
+                    data.extend(x.iter().zip(dir).map(|(&c, &g)| c + g * wj));
+                }
             }
+            vector::column_norms_sq(&data[start..], d, block_norms);
         }
-        for (j, &wj) in potentials.iter().enumerate() {
-            if wj == 0.0 {
-                continue;
-            }
-            let col = &mut self.data[j * d..(j + 1) * d];
-            for (c, &g) in col.iter_mut().zip(&dir) {
-                *c += g * wj;
-            }
-        }
-        Ok(())
+        let sketch = ResistanceSketch {
+            data,
+            d,
+            n: self.n,
+            epsilon: self.epsilon,
+            converged_rows: self.converged_rows,
+            solve_iterations: self.solve_iterations,
+            diagnostics: self.diagnostics.clone(),
+        };
+        (sketch, norms)
     }
 
     /// The node embedding: column `u` of `X̃` as an owned point in `R^d`
@@ -1165,7 +1187,7 @@ mod tests {
         // that a fresh build would.
         let g = cycle(12);
         let eps = 0.3;
-        let mut sk = ResistanceSketch::build(&g, &params(eps)).unwrap();
+        let sk = ResistanceSketch::build(&g, &params(eps)).unwrap();
         let e = reecc_graph::Edge::new(0, 6);
         let mut ws = CgWorkspace::new(12);
         let (w, r_uv) = crate::update::solve_edge_potentials(
@@ -1174,7 +1196,7 @@ mod tests {
             reecc_linalg::cg::CgOptions::default(),
             &mut ws,
         );
-        sk.apply_add_edge(e, &w, r_uv, 1234);
+        let (sk, _) = sk.added_edge(e, &w, r_uv, 1234);
         let g2 = g.with_edge(e).unwrap();
         let exact = ExactResistance::new(&g2).unwrap();
         for u in 0..12 {
@@ -1199,13 +1221,10 @@ mod tests {
             &mut ws,
         );
         let base = ResistanceSketch::build(&g, &params(0.4)).unwrap();
-        let mut a = base.clone();
-        let mut b = base.clone();
-        a.apply_add_edge(e, &w, r_uv, 77);
-        b.apply_add_edge(e, &w, r_uv, 77);
+        let (a, _) = base.added_edge(e, &w, r_uv, 77);
+        let (b, _) = base.added_edge(e, &w, r_uv, 77);
         assert_eq!(a.flat(), b.flat(), "same seed must replay bit-for-bit");
-        let mut c = base.clone();
-        c.apply_add_edge(e, &w, r_uv, 78);
+        let (c, _) = base.added_edge(e, &w, r_uv, 78);
         assert_ne!(a.flat(), c.flat());
     }
 
@@ -1219,7 +1238,7 @@ mod tests {
         // still a usable multiplicative guarantee.
         let g = complete(10);
         let eps = 0.25;
-        let mut sk = ResistanceSketch::build(&g, &params(eps)).unwrap();
+        let sk = ResistanceSketch::build(&g, &params(eps)).unwrap();
         let e = reecc_graph::Edge::new(0, 1);
         let mut ws = CgWorkspace::new(10);
         let (w, r_uv) = crate::update::solve_edge_potentials(
@@ -1228,7 +1247,7 @@ mod tests {
             reecc_linalg::cg::CgOptions::default(),
             &mut ws,
         );
-        sk.apply_remove_edge(e, &w, r_uv).unwrap();
+        let (sk, _) = sk.removed_edge(e, &w, r_uv).unwrap();
         let cut = g.without_edge(e).unwrap();
         let exact = ExactResistance::new(&cut).unwrap();
         let residual = r_uv / (1.0 - r_uv);
@@ -1248,7 +1267,7 @@ mod tests {
         use reecc_linalg::cg::CgWorkspace;
         let g = line(6);
         let sk0 = ResistanceSketch::build(&g, &params(0.4)).unwrap();
-        let mut sk = sk0.clone();
+        let sk = sk0.clone();
         let e = reecc_graph::Edge::new(2, 3);
         let mut ws = CgWorkspace::new(6);
         let (w, r_uv) = crate::update::solve_edge_potentials(
@@ -1257,9 +1276,51 @@ mod tests {
             reecc_linalg::cg::CgOptions::default(),
             &mut ws,
         );
-        let err = sk.apply_remove_edge(e, &w, r_uv).unwrap_err();
+        let err = sk.removed_edge(e, &w, r_uv).unwrap_err();
         assert!(matches!(err, CoreError::DisconnectingRemoval { u: 2, v: 3, .. }), "{err:?}");
         assert_eq!(sk.flat(), sk0.flat(), "failed downdate must leave the sketch untouched");
+    }
+
+    #[test]
+    fn rank_one_pass_copies_zero_weight_columns_verbatim() {
+        // Synthetic potentials: a column whose weight is 0.0 or −0.0 must
+        // come through bit for bit, −0.0 entries included (`−0.0 + g·0.0`
+        // is +0.0), and every returned norm must be `dot(x, x)` of the new
+        // column. 11 nodes: one full lane group plus a tail.
+        let n = 11;
+        let rows: Vec<Vec<f64>> = (0..3)
+            .map(|i| {
+                (0..n)
+                    .map(|u| if (u + i) % 3 == 0 { -0.0 } else { (u as f64 - 5.0) * 0.1 })
+                    .collect()
+            })
+            .collect();
+        let diagnostics =
+            SketchDiagnostics { rows: 3, converged_first_try: 3, ..Default::default() };
+        let sk = ResistanceSketch::from_parts(rows, n, 0.5, diagnostics).unwrap();
+        let zero_cols = [0usize, 3, 9];
+        let w: Vec<f64> = (0..n)
+            .map(|j| match j {
+                3 => -0.0,
+                j if zero_cols.contains(&j) => 0.0,
+                j => (j as f64 - 5.5) * 0.05,
+            })
+            .collect();
+        let e = reecc_graph::Edge::new(1, 4);
+        let added = sk.added_edge(e, &w, 0.3, 5);
+        let removed = sk.removed_edge(e, &w, 0.3).unwrap();
+        for (updated, norms) in [&added, &removed] {
+            for (j, norm) in norms.iter().enumerate() {
+                let (old, new) = (sk.embedding(j), updated.embedding(j));
+                if zero_cols.contains(&j) {
+                    let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(new), bits(old), "column {j} must be copied verbatim");
+                } else {
+                    assert_ne!(new, old, "column {j} must be updated");
+                }
+                assert_eq!(norm.to_bits(), vector::dot(new, new).to_bits(), "norm {j}");
+            }
+        }
     }
 
     #[test]

@@ -27,6 +27,48 @@ pub fn norm2_sq(a: &[f64]) -> f64 {
     dot(a, a)
 }
 
+/// How many columns [`column_norms_sq`] advances together: each column is
+/// one independent accumulator chain.
+pub const NORM_LANES: usize = 8;
+
+/// Squared norms `out[k] = ‖x_k‖²` of `out.len()` consecutive length-`d`
+/// vectors packed in `xs` (node-major sketch columns).
+///
+/// A lone `dot(x, x)` is one dependent chain of `d` adds, so it runs at
+/// the add latency. Here [`NORM_LANES`] columns run side by side as
+/// independent lanes. Each lane keeps `dot`'s in-order chain, so every
+/// result is `to_bits`-equal to [`norm2_sq`] of its column. The columns
+/// past the last full group of lanes take [`norm2_sq`] itself.
+///
+/// # Panics
+///
+/// Panics if `xs.len() != out.len() · d`.
+pub fn column_norms_sq(xs: &[f64], d: usize, out: &mut [f64]) {
+    assert_eq!(xs.len(), out.len() * d, "column_norms_sq: length mismatch");
+    if d == 0 {
+        out.fill(norm2_sq(&[]));
+        return;
+    }
+    let full = out.len() / NORM_LANES * NORM_LANES;
+    for (group, norms) in
+        xs[..full * d].chunks_exact(NORM_LANES * d).zip(out.chunks_exact_mut(NORM_LANES))
+    {
+        let cols: [&[f64]; NORM_LANES] = std::array::from_fn(|b| &group[b * d..(b + 1) * d]);
+        // `Iterator::sum`'s starting value, so each lane is `dot`'s fold.
+        let mut acc = [-0.0f64; NORM_LANES];
+        for t in 0..d {
+            for (a, col) in acc.iter_mut().zip(&cols) {
+                let x = col[t];
+                *a += x * x;
+            }
+        }
+        norms.copy_from_slice(&acc);
+    }
+    for (k, o) in out.iter_mut().enumerate().skip(full) {
+        *o = norm2_sq(&xs[k * d..(k + 1) * d]);
+    }
+}
+
 /// `y += alpha * x`.
 ///
 /// # Panics
@@ -178,6 +220,36 @@ mod tests {
         assert_eq!(dot(&a, &b), 4.0 - 10.0 + 18.0);
         assert_eq!(norm2_sq(&a), 14.0);
         assert!((norm2(&a) - 14.0f64.sqrt()).abs() < 1e-15);
+    }
+
+    #[test]
+    fn column_norms_match_dot_bitwise_with_a_nan_column() {
+        // 19 columns: two full lane groups plus a 3-column tail. Values
+        // of mixed sign and magnitude so rounding differs between orders.
+        let count = 2 * NORM_LANES + 3;
+        for d in [1usize, 2, 7, 64] {
+            let mut xs: Vec<f64> = (0..count * d)
+                .map(|i| {
+                    let t = i as f64;
+                    (t * 0.618_033_988_749).sin() * 10f64.powi((i % 7) as i32 - 3)
+                })
+                .collect();
+            let nan_col = 5;
+            xs[nan_col * d + d / 2] = f64::NAN;
+            let mut out = vec![0.0; count];
+            column_norms_sq(&xs, d, &mut out);
+            for (k, &got) in out.iter().enumerate() {
+                let x = &xs[k * d..(k + 1) * d];
+                if k == nan_col {
+                    assert!(got.is_nan(), "d={d}: the NaN column came out {got}");
+                } else {
+                    assert_eq!(got.to_bits(), dot(x, x).to_bits(), "d={d} k={k}");
+                }
+            }
+        }
+        let mut empty = [1.0; 3];
+        column_norms_sq(&[], 0, &mut empty);
+        assert!(empty.iter().all(|&x| x.to_bits() == dot(&[], &[]).to_bits()));
     }
 
     #[test]

@@ -8,7 +8,7 @@ use std::sync::{Arc, OnceLock};
 
 use reecc_core::{exact_query, ExactResistance, QueryEngine, SketchParams};
 use reecc_graph::generators::barabasi_albert;
-use reecc_graph::{fingerprint, Graph};
+use reecc_graph::{fingerprint, Edge, Graph};
 use reecc_serve::json::Json;
 use reecc_serve::{
     serve_pipe, LiveConfig, LiveEngine, PoolConfig, Request, RequestEnvelope, ServePool,
@@ -699,6 +699,39 @@ fn pre_rework_golden_snapshot_still_loads_and_answers() {
     let rebuilt = QueryEngine::build(&g, &params).unwrap();
     let rebuilt_bytes = SketchSnapshot::from_engine(&rebuilt).to_bytes();
     assert_eq!(rebuilt_bytes, bytes, "snapshot byte format or sketch bits drifted");
+}
+
+#[test]
+fn mutated_epoch_golden_snapshot_is_bitwise_stable() {
+    // Regression guard for the write path: the checked-in golden snapshot
+    // was written by the in-place rank-1 update (clone the sketch, update
+    // the clone, recompute every norm). A mutated epoch's sketch, graph
+    // fingerprint and hull must keep serializing to exactly those bytes,
+    // which is what WAL replay on a recovered server relies on.
+    let golden_path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("golden/mutated_epoch.sketch");
+    let golden = std::fs::read(&golden_path).expect("golden snapshot is checked in");
+
+    // Generation recipe (recorded so the golden file can be regenerated):
+    // the `pre_flat_rework.sketch` build, then add (0, 39) with q-seed 11,
+    // remove the non-bridge (5, 33), and add (12, 27) with q-seed 13.
+    let g = barabasi_albert(40, 2, 9);
+    let params =
+        SketchParams { epsilon: 0.4, max_dimension: Some(64), seed: 3, ..Default::default() };
+    let base = QueryEngine::build(&g, &params).unwrap();
+    let (added, _) = base.with_added_edge(Edge::new(0, 39), 11).unwrap();
+    let (removed, _) = added.with_removed_edge(Edge::new(5, 33)).unwrap();
+    let (engine, _) = removed.with_added_edge(Edge::new(12, 27), 13).unwrap();
+    let bytes = SketchSnapshot::from_engine(&engine).to_bytes();
+    assert_eq!(bytes, golden, "mutated-epoch sketch bits or graph drifted");
+
+    // The panel norms the write path hands over must drive the pruned
+    // scan to the full scan's exact answer on every node.
+    for v in 0..engine.graph().node_count() {
+        let scan = engine.eccentricity_full_scan(v);
+        let (value, farthest) = engine.sketch().eccentricity(v);
+        assert_eq!((scan.value.to_bits(), scan.farthest), (value.to_bits(), farthest), "v={v}");
+    }
 }
 
 #[test]
