@@ -39,6 +39,11 @@
 //! (dense pseudoinverse solves), so this pass is skipped above 5 000
 //! nodes — run the ci tier for the job-latency record.
 //!
+//! `BENCH_sketch.json` also gets a `hull_build` record: the median wall
+//! time of APPROXCH (`approx_convex_hull`, the default budget, θ = ε/12)
+//! on the blocked sketch at one thread and at every core, with the hull's
+//! vertex count, passes and truncation.
+//!
 //! `BENCH_query.json` carries three read-path records:
 //! `query_full_scan` (the unpruned O(n·d) APPROXQUERY scan
 //! `ResistanceSketch::eccentricity` on one thread, the historical
@@ -61,9 +66,10 @@
 //! gate fails (panel sweep vs the hull gather `eccentricity_over`
 //! bitwise, batched kernel vs scalar loop across the batch-size ×
 //! thread-count matrix, pruned scan single and batched vs the unpruned
-//! scan bitwise) or the write-path gate fails (the chained engine's
-//! pruned scans vs its unpruned scans bitwise), because those are
-//! correctness bugs, not performance regressions.
+//! scan bitwise), if the write-path gate fails (the chained engine's
+//! pruned scans vs its unpruned scans bitwise) or if the threaded hull
+//! differs from the one-thread hull, because those are correctness bugs,
+//! not performance regressions.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
@@ -207,11 +213,39 @@ fn main() {
     let query_threads = resolve_threads(0);
     eprintln!("assembling the query engine (hull + panel) from the blocked sketch ...");
     let theta = (eps / 12.0).clamp(1e-6, 0.999);
-    let hull_opts = ApproxChOptions {
-        max_vertices: Some(default_hull_budget(n)),
-        ..ApproxChOptions::default()
+    // APPROXCH on the blocked sketch, on one thread and on every core. Its
+    // gate: both runs return the same `HullResult`, bit for bit.
+    let hull_threads = resolve_threads(0);
+    let hull_at = |threads: usize| {
+        let opts = ApproxChOptions {
+            max_vertices: Some(default_hull_budget(n)),
+            threads,
+            ..ApproxChOptions::default()
+        };
+        timed_median3(|| approx_convex_hull(&blocked.point_view(), theta, opts))
     };
-    let hull = approx_convex_hull(&blocked.point_view(), theta, hull_opts).vertices;
+    let (serial_hull, _, serial_hull_secs) = hull_at(1);
+    let (threaded_hull, _, threaded_hull_secs) = hull_at(hull_threads);
+    let hull_threads_bits_match = serial_hull == threaded_hull;
+    let hull_record = format!(
+        "  {{\n    \"bench\": \"hull_build\",\n    \"unix_time\": {unix_time},\n    \
+         \"mode\": \"{mode}\",\n    \
+         \"graph\": \"{name}\",\n    \"tier\": \"{tier_name}\",\n    \"n\": {n},\n    \
+         \"m\": {m},\n    \"epsilon\": {eps},\n    \"d\": {d},\n    \"repeats\": 3,\n    \
+         \"serial\": {{\"threads\": 1, \"wall_ms\": {sms:.3}}},\n    \
+         \"threaded\": {{\"threads\": {hull_threads}, \"wall_ms\": {tms:.3}}},\n    \
+         \"vertices\": {vertices},\n    \"passes\": {passes},\n    \
+         \"truncated\": {truncated},\n    \
+         \"hull_threads_bits_match\": {hull_threads_bits_match}\n  }}",
+        d = blocked.dimension(),
+        sms = serial_hull_secs * 1e3,
+        tms = threaded_hull_secs * 1e3,
+        vertices = serial_hull.vertices.len(),
+        passes = serial_hull.passes,
+        truncated = serial_hull.truncated,
+    );
+    append_record("BENCH_sketch.json", &hull_record);
+    let hull = threaded_hull.vertices;
     let engine_params = SketchParams { threads: 0, ..block_params };
     let engine = QueryEngine::from_parts(g.clone(), blocked.clone(), hull, engine_params)
         .expect("bench sketch and hull are consistent");
@@ -641,6 +675,15 @@ fn main() {
          match: {mutation_bits_match}",
         add_ms.len(),
     );
+    println!(
+        "hull (APPROXCH, {} vertices, {} passes, truncated {}): {:.1} ms on 1 thread, \
+         {:.1} ms on {hull_threads}, bits match: {hull_threads_bits_match}",
+        serial_hull.vertices.len(),
+        serial_hull.passes,
+        serial_hull.truncated,
+        serial_hull_secs * 1e3,
+        threaded_hull_secs * 1e3,
+    );
     if !reference_ok {
         if mixed {
             eprintln!(
@@ -670,6 +713,10 @@ fn main() {
              bitwise: {mutated_scans_match})",
             add_ms.len()
         );
+        std::process::exit(1);
+    }
+    if !hull_threads_bits_match {
+        eprintln!("FAIL: the hull on {hull_threads} threads differs from the one-thread hull");
         std::process::exit(1);
     }
     if !query_gates_ok {

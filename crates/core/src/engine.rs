@@ -80,7 +80,8 @@ impl QueryEngine {
     }
 
     /// Build with explicit hull options (e.g. the unbudgeted faithful
-    /// coverage mode).
+    /// coverage mode). The hull's thread count is `params.threads`,
+    /// whatever `hull_opts.threads` says.
     ///
     /// # Errors
     ///
@@ -98,6 +99,7 @@ impl QueryEngine {
         let params = params.resolved_for(g);
         let sketch = ResistanceSketch::build(g, &params)?;
         let theta = (params.epsilon / 12.0).clamp(1e-6, 0.999);
+        let hull_opts = ApproxChOptions { threads: params.threads, ..hull_opts };
         let hull = approx_convex_hull(&sketch.point_view(), theta, hull_opts).vertices;
         Self::from_parts(g.clone(), sketch, hull, params)
     }

@@ -199,8 +199,8 @@ pub fn fast_query(
     fast_query_with_hull_options(g, q, params, opts)
 }
 
-/// [`fast_query`] with explicit hull options (vertex caps, sweep counts) —
-/// used by the ablation benches.
+/// [`fast_query`] with explicit hull options (vertex caps, iteration
+/// caps) — used by the ablation benches.
 ///
 /// # Errors
 ///
@@ -219,7 +219,8 @@ pub fn fast_query_with_hull_options(
 /// full sketch scan (APPROXQUERY), and beyond the severe threshold to
 /// EXACTQUERY — gated by `exact_fallback_max_nodes` to keep the `O(n³)`
 /// escalation off large graphs. The answering tier and every fallback
-/// decision are recorded in the output's [`QueryDiagnostics`].
+/// decision are recorded in the output's [`QueryDiagnostics`]. The hull
+/// runs on `params.threads` threads, whatever `hull_opts.threads` says.
 ///
 /// # Errors
 ///
@@ -303,6 +304,7 @@ pub fn fast_query_with_policy(
     }
 
     let theta = (params.epsilon / 12.0).clamp(1e-6, 0.999);
+    let hull_opts = ApproxChOptions { threads: params.threads, ..hull_opts };
     let hull_result = approx_convex_hull(&sketch.point_view(), theta, hull_opts);
     let results =
         q.iter().map(|&i| (i, sketch.eccentricity_over(i, &hull_result.vertices).0)).collect();

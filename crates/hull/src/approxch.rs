@@ -11,30 +11,37 @@
 //!    in `Ŝ` and is extreme for a linear functional, i.e. lies on the hull
 //!    boundary — so `Ŝ` grows by a genuine boundary point every time.
 //! 4. Repeat the scan until a full pass adds nothing.
+//!
+//! Steps 1 and 3 sweep all `n` points; they run on the lane kernels of
+//! [`crate::points`], split over `opts.threads`. Step 2 reads the current
+//! vertices from a dimension-major block that grows with `Ŝ`
+//! ([`crate::triangle`]). Neither changes a bit of the result (DESIGN
+//! §16).
 
-use crate::points::{dot, Points};
-use crate::triangle::{membership, Membership, TriangleOptions};
+use crate::points::{argmax_dot, diameter_estimate, Points};
+use crate::triangle::{
+    membership, Membership, TriangleOptions, Verdict, VertexBlock, Workspace,
+};
 
-/// Options for [`approx_convex_hull`].
-#[derive(Debug, Clone, Copy)]
+/// Work (`n·d` multiply-adds per full-`n` sweep) under which APPROXCH
+/// stays on the calling thread: the floor `eccentricity_batch` uses in
+/// `reecc-core`, under which a sweep finishes before threads would start.
+const PARALLEL_MIN_WORK: usize = 1 << 16;
+
+/// Options for [`approx_convex_hull`]. The default is unbounded, on
+/// available parallelism, with [`TriangleOptions::default`].
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ApproxChOptions {
     /// Cap on the number of returned vertices `l` (safety valve for
     /// adversarial inputs like points on a sphere). `None` = unbounded.
     pub max_vertices: Option<usize>,
-    /// Farthest-point sweeps used for the diameter estimate.
-    pub diameter_sweeps: usize,
+    /// Worker threads for the full-`n` sweeps (diameter, seeds and the
+    /// witness-direction argmax); `0` = use available parallelism, as in
+    /// `SketchParams::threads`. Every count gives the same [`HullResult`].
+    /// Inputs with `n·d < 2^16` stay on the calling thread.
+    pub threads: usize,
     /// Triangle-Algorithm iteration cap per membership query.
     pub triangle: TriangleOptions,
-}
-
-impl Default for ApproxChOptions {
-    fn default() -> Self {
-        ApproxChOptions {
-            max_vertices: None,
-            diameter_sweeps: 4,
-            triangle: TriangleOptions::default(),
-        }
-    }
 }
 
 /// Output of [`approx_convex_hull`].
@@ -60,12 +67,13 @@ pub struct HullResult {
 /// Generic over [`Points`], so it runs equally over an owned
 /// [`crate::points::PointSet`] and a zero-copy
 /// [`crate::points::PointsView`] borrowing the caller's buffer; both
-/// produce bitwise-identical hulls (same arithmetic, same scan order).
+/// produce bitwise-identical hulls (same arithmetic, same scan order),
+/// and so does every `opts.threads`.
 ///
 /// # Panics
 ///
 /// Panics if `points` is empty or `theta` is not in `(0, 1)`.
-pub fn approx_convex_hull<P: Points>(
+pub fn approx_convex_hull<P: Points + Sync>(
     points: &P,
     theta: f64,
     opts: ApproxChOptions,
@@ -81,8 +89,18 @@ pub fn approx_convex_hull<P: Points>(
             truncated: false,
         };
     }
+    let threads = if n.saturating_mul(points.dim()) < PARALLEL_MIN_WORK {
+        1
+    } else if opts.threads == 0 {
+        std::thread::available_parallelism().map_or(1, |p| p.get())
+    } else {
+        opts.threads
+    };
 
-    let diameter = points.diameter_estimate(opts.diameter_sweeps);
+    // Seed with a diameter pair: both endpoints of a farthest sweep are
+    // hull vertices of the sweep geometry and give the oracle a spread
+    // starting simplex. They are the first two diameter sweeps' ends.
+    let (diameter, [a, b]) = diameter_estimate(points, threads);
     if diameter == 0.0 {
         // All points coincide.
         return HullResult {
@@ -95,16 +113,13 @@ pub fn approx_convex_hull<P: Points>(
     let tol = theta * diameter;
     let cap = opts.max_vertices.unwrap_or(usize::MAX).max(2);
 
-    // Seed with a diameter pair: both endpoints of a farthest sweep are
-    // hull vertices of the sweep geometry and give the oracle a spread
-    // starting simplex.
-    let (a, _) = points.farthest_from_index(0).expect("non-empty");
-    let (b, _) = points.farthest_from_index(a).expect("non-empty");
     let mut vertices: Vec<usize> = if a == b { vec![a] } else { vec![a, b] };
+    let mut block = VertexBlock::pack(points, &vertices);
     let mut in_hull = vec![false; n];
     for &v in &vertices {
         in_hull[v] = true;
     }
+    let mut ws = Workspace::new(points.dim());
 
     let mut passes = 0usize;
     let mut truncated = false;
@@ -115,27 +130,19 @@ pub fn approx_convex_hull<P: Points>(
             if in_hull[p_idx] {
                 continue;
             }
+            let p = points.point(p_idx);
             loop {
-                let p = points.point(p_idx);
-                match membership(points, &vertices, p, tol, opts.triangle) {
-                    Membership::Inside { .. } | Membership::Undecided { .. } => break,
-                    Membership::Outside { witness, .. } => {
+                match ws.test(&block, p, tol, opts.triangle) {
+                    Verdict::Inside(_) | Verdict::Undecided(_) => break,
+                    Verdict::Outside(_) => {
                         if vertices.len() >= cap {
                             truncated = true;
                             break 'scan;
                         }
-                        // Extreme point in the witness direction. The
-                        // witness property guarantees argmax ∉ Ŝ.
-                        let dir: Vec<f64> =
-                            p.iter().zip(&witness).map(|(pi, xi)| pi - xi).collect();
-                        let extreme = (0..n)
-                            .max_by(|&i, &j| {
-                                dot(&dir, points.point(i))
-                                    .partial_cmp(&dot(&dir, points.point(j)))
-                                    .expect("finite coordinates")
-                            })
-                            .expect("non-empty");
-                        if in_hull[extreme] {
+                        // Extreme point in the witness direction `p − x`.
+                        // The witness property guarantees argmax ∉ Ŝ.
+                        let extreme = argmax_dot(points, &ws.dir, threads);
+                        let added = if in_hull[extreme] {
                             // Numerical tie pushed us back onto an existing
                             // vertex; fall back to adding the query point
                             // itself (it is certified far from conv(Ŝ), so
@@ -144,12 +151,13 @@ pub fn approx_convex_hull<P: Points>(
                             if in_hull[p_idx] {
                                 break;
                             }
-                            in_hull[p_idx] = true;
-                            vertices.push(p_idx);
+                            p_idx
                         } else {
-                            in_hull[extreme] = true;
-                            vertices.push(extreme);
-                        }
+                            extreme
+                        };
+                        in_hull[added] = true;
+                        vertices.push(added);
+                        block.push(points.point(added));
                         added_this_pass = true;
                         // Re-test the same point against the grown hull.
                     }

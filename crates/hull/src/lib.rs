@@ -15,7 +15,8 @@
 //! * [`points::PointSet`] — a flat, cache-friendly store of `n` points in
 //!   `R^d`, plus [`points::PointsView`], a zero-copy borrow of the same
 //!   layout (both behind the [`points::Points`] trait so hull
-//!   construction never needs to clone the sketch's embedding buffer).
+//!   construction never needs to clone the sketch's embedding buffer),
+//!   and the lane kernels APPROXCH's full-`n` sweeps run on.
 //! * [`triangle`] — the Triangle Algorithm: an approximate membership
 //!   oracle for `p ∈ conv(Ŝ)` that produces either an ε-close convex
 //!   combination or a *witness* certifying separation.

@@ -1,4 +1,14 @@
-//! Flat storage for `n` points in `R^d`.
+//! Flat storage for `n` points in `R^d`, and the full-`n` sweeps APPROXCH
+//! runs over it.
+//!
+//! A sweep (the farthest point from a query, the point extreme in a
+//! direction) evaluates 8 consecutive points per step, each as an
+//! independent lane that keeps [`dot`]'s or [`dist_sq`]'s exact fold, and
+//! can split the index range into contiguous chunks, one per thread,
+//! whose winners merge in index order. Neither the lanes nor the chunks
+//! change a bit of the answer (DESIGN §16).
+
+use std::ops::Range;
 
 /// Read-only access to a point-major point collection.
 ///
@@ -7,7 +17,7 @@
 /// run equally over an owned [`PointSet`] and a zero-copy
 /// [`PointsView`] borrowing someone else's buffer (the sketch's flat
 /// node-major embedding store, most importantly). Every default method
-/// is a plain in-order scan over [`Points::point`] slices, so the two
+/// is an in-order scan over [`Points::point`] slices, so the two
 /// implementations are bitwise interchangeable.
 pub trait Points {
     /// Dimension `d`.
@@ -33,40 +43,12 @@ pub trait Points {
     /// query point; ties break to the smaller index. `None` if empty.
     fn farthest_from(&self, query: &[f64]) -> Option<(usize, f64)> {
         assert_eq!(query.len(), self.dim(), "query dimension mismatch");
-        let mut best: Option<(usize, f64)> = None;
-        for i in 0..self.len() {
-            let d2 = dist_sq(self.point(i), query);
-            match best {
-                Some((_, bd)) if d2 <= bd => {}
-                _ => best = Some((i, d2)),
-            }
-        }
-        best.map(|(i, d2)| (i, d2.sqrt()))
+        farthest_in(self, query, 0..self.len()).best.map(|(i, d2)| (i, d2.sqrt()))
     }
 
     /// Index of the stored point farthest from stored point `from`.
     fn farthest_from_index(&self, from: usize) -> Option<(usize, f64)> {
         self.farthest_from(self.point(from))
-    }
-
-    /// Lower bound on the diameter `D(S)` via iterated farthest-point
-    /// sweeps starting at point 0. With `sweeps >= 2` the bound is at least
-    /// `D/2` in any metric space (and typically much tighter).
-    fn diameter_estimate(&self, sweeps: usize) -> f64 {
-        if self.len() < 2 {
-            return 0.0;
-        }
-        let mut a = 0usize;
-        let mut best = 0.0f64;
-        for _ in 0..sweeps.max(1) {
-            let (b, d) = self.farthest_from_index(a).expect("non-empty");
-            if d <= best {
-                break;
-            }
-            best = d;
-            a = b;
-        }
-        best
     }
 }
 
@@ -167,29 +149,6 @@ impl PointSet {
         PointSet { dim, len: points.len(), data }
     }
 
-    /// Build from the columns of a `d×n` matrix given as `d` rows — the
-    /// orientation the sketch produces (`X̃` rows are sketch dimensions,
-    /// columns are node embeddings).
-    ///
-    /// # Panics
-    ///
-    /// Panics on ragged rows or empty input.
-    pub fn from_matrix_columns(rows: &[Vec<f64>]) -> Self {
-        let d = rows.len();
-        assert!(d > 0, "need at least one row");
-        let n = rows[0].len();
-        for r in rows {
-            assert_eq!(r.len(), n, "ragged rows");
-        }
-        let mut data = vec![0.0; n * d];
-        for (r, row) in rows.iter().enumerate() {
-            for (c, &v) in row.iter().enumerate() {
-                data[c * d + r] = v;
-            }
-        }
-        PointSet { dim: d, len: n, data }
-    }
-
     /// Number of points (also available through [`Points::len`]).
     #[inline]
     pub fn len(&self) -> usize {
@@ -213,56 +172,6 @@ impl PointSet {
     pub fn point(&self, i: usize) -> &[f64] {
         &self.data[i * self.dim..(i + 1) * self.dim]
     }
-
-    /// Farthest-first traversal: starting from `seeds`, repeatedly append
-    /// the point maximizing the distance to the already-chosen set, `count`
-    /// times. This is the k-center heuristic CENMINRECC is built on.
-    ///
-    /// Returns the appended indices in selection order (seed indices are
-    /// not repeated in the output).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seeds` is empty or contains out-of-range indices.
-    pub fn farthest_first_traversal(&self, seeds: &[usize], count: usize) -> Vec<usize> {
-        assert!(!seeds.is_empty(), "need at least one seed");
-        for &s in seeds {
-            assert!(s < self.len, "seed {s} out of range");
-        }
-        // min_d2[i] = squared distance from point i to the chosen set.
-        let mut min_d2 = vec![f64::INFINITY; self.len];
-        let mut in_set = vec![false; self.len];
-        for &s in seeds {
-            in_set[s] = true;
-        }
-        for (i, slot) in min_d2.iter_mut().enumerate() {
-            for &s in seeds {
-                *slot = slot.min(self.dist_sq(i, s));
-            }
-        }
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            let mut best: Option<(usize, f64)> = None;
-            for i in 0..self.len {
-                if in_set[i] {
-                    continue;
-                }
-                match best {
-                    Some((_, bd)) if min_d2[i] <= bd => {}
-                    _ => best = Some((i, min_d2[i])),
-                }
-            }
-            let Some((pick, _)) = best else { break };
-            in_set[pick] = true;
-            out.push(pick);
-            for i in 0..self.len {
-                if !in_set[i] {
-                    min_d2[i] = min_d2[i].min(self.dist_sq(i, pick));
-                }
-            }
-        }
-        out
-    }
 }
 
 /// Squared Euclidean distance between two equal-length slices.
@@ -277,6 +186,239 @@ pub fn dist_sq(a: &[f64], b: &[f64]) -> f64 {
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     a.iter().zip(b).map(|(x, y)| x * y).sum()
+}
+
+/// Points a lane kernel evaluates together, each as its own accumulator
+/// chain.
+pub(crate) const LANES: usize = 8;
+
+/// `dot(a, rows[l])` for [`LANES`] rows at once. Each lane is [`dot`]'s
+/// fold: it starts at `-0.0` (`Iterator::sum`'s starting value), takes
+/// the elements in order, and multiplies then adds without fusing, so it
+/// is `to_bits`-equal to `dot(a, rows[l])`. The lanes only break one
+/// dependent chain of `d` adds into [`LANES`] independent ones.
+#[inline]
+fn dot_lanes(a: &[f64], rows: [&[f64]; LANES]) -> [f64; LANES] {
+    let mut acc = [-0.0f64; LANES];
+    for_each_column(a, rows, |x, column| {
+        for (s, v) in acc.iter_mut().zip(column) {
+            *s += x * v;
+        }
+    });
+    acc
+}
+
+/// `dist_sq(rows[l], b)` for [`LANES`] rows at once, each lane
+/// [`dist_sq`]'s fold (see [`dot_lanes`]).
+#[inline]
+fn dist_sq_lanes(rows: [&[f64]; LANES], b: &[f64]) -> [f64; LANES] {
+    let mut acc = [-0.0f64; LANES];
+    for_each_column(b, rows, |y, column| {
+        for (s, v) in acc.iter_mut().zip(column) {
+            let diff = v - y;
+            *s += diff * diff;
+        }
+    });
+    acc
+}
+
+/// Calls `f(a[t], [rows[0][t], …, rows[7][t]])` for `t` in order. One
+/// iterator per row keeps each row's cursor in a register, which the
+/// compiler does not manage for eight indexed slices.
+#[inline(always)]
+fn for_each_column(a: &[f64], rows: [&[f64]; LANES], mut f: impl FnMut(f64, [f64; LANES])) {
+    let [r0, r1, r2, r3, r4, r5, r6, r7] = rows.map(|r| &r[..a.len()]);
+    let columns = a.iter().zip(r0).zip(r1).zip(r2).zip(r3).zip(r4).zip(r5).zip(r6).zip(r7);
+    for ((((((((&x, &v0), &v1), &v2), &v3), &v4), &v5), &v6), &v7) in columns {
+        f(x, [v0, v1, v2, v3, v4, v5, v6, v7]);
+    }
+}
+
+/// Feeds `(i, value(x_i))` to `visit` for every `i` in `range`, in index
+/// order: [`LANES`] points per `lanes` call, the remainder one by one
+/// through `single`, which must compute the same fold.
+#[inline(always)]
+fn sweep<P: Points + ?Sized>(
+    points: &P,
+    range: Range<usize>,
+    lanes: impl Fn([&[f64]; LANES]) -> [f64; LANES],
+    single: impl Fn(&[f64]) -> f64,
+    mut visit: impl FnMut(usize, f64),
+) {
+    let mut i = range.start;
+    while i + LANES <= range.end {
+        let values = lanes(std::array::from_fn(|l| points.point(i + l)));
+        for (l, &v) in values.iter().enumerate() {
+            visit(i + l, v);
+        }
+        i += LANES;
+    }
+    for j in i..range.end {
+        visit(j, single(points.point(j)));
+    }
+}
+
+/// A sweep's winner over one index chunk: the `(index, value)` its rule
+/// kept, and whether any value was NaN (which the chunk merges need).
+#[derive(Debug, Clone, Copy)]
+struct Winner {
+    best: Option<(usize, f64)>,
+    nan: bool,
+}
+
+/// The farthest point from `query` within `range`, by squared distance,
+/// with [`Points::farthest_from`]'s rule: a later point replaces the
+/// running best unless `d2 <= best`, so the first maximum wins.
+fn farthest_in<P: Points + ?Sized>(points: &P, query: &[f64], range: Range<usize>) -> Winner {
+    let mut w = Winner { best: None, nan: false };
+    sweep(
+        points,
+        range,
+        |rows| dist_sq_lanes(rows, query),
+        |x| dist_sq(x, query),
+        |i, d2| {
+            w.nan |= d2.is_nan();
+            match w.best {
+                Some((_, bd)) if d2 <= bd => {}
+                _ => w.best = Some((i, d2)),
+            }
+        },
+    );
+    w
+}
+
+/// [`farthest_in`] over every point, split over `threads` chunks:
+/// `(index, squared distance)`, `None` if empty.
+///
+/// Chunk winners merge in index order under the same `d2 <= best` rule,
+/// except that a chunk which met a NaN always wins: the serial scan takes
+/// the NaN and from then on runs exactly as the chunk's own scan did,
+/// whatever it held before.
+fn farthest<P: Points + Sync + ?Sized>(
+    points: &P,
+    query: &[f64],
+    threads: usize,
+) -> Option<(usize, f64)> {
+    let mut best = None;
+    for w in in_chunks(points.len(), threads, |r| farthest_in(points, query, r)) {
+        if let Some((i, d2)) = w.best {
+            match best {
+                Some((_, bd)) if !w.nan && d2 <= bd => {}
+                _ => best = Some((i, d2)),
+            }
+        }
+    }
+    best
+}
+
+/// The point extreme in direction `dir`: `argmax_i dot(dir, x_i)`,
+/// exactly the index `(0..n).max_by` returned on `dot(dir, x_i)`
+/// comparisons. `max_by` keeps the last of equal maxima, so a later point
+/// replaces the running best unless it is strictly smaller; the chunks of
+/// a threaded sweep merge in index order under the same rule.
+///
+/// # Panics
+///
+/// Panics with `"finite coordinates"` if a dot product is NaN and there
+/// are at least two points (`max_by`'s comparison would have failed), and
+/// if `points` is empty.
+pub(crate) fn argmax_dot<P: Points + Sync + ?Sized>(
+    points: &P,
+    dir: &[f64],
+    threads: usize,
+) -> usize {
+    let winners = in_chunks(points.len(), threads, |range| {
+        let mut w = Winner { best: None, nan: false };
+        sweep(
+            points,
+            range,
+            |rows| dot_lanes(dir, rows),
+            |x| dot(dir, x),
+            |i, v| {
+                w.nan |= v.is_nan();
+                match w.best {
+                    Some((_, bv)) if v < bv => {}
+                    _ => w.best = Some((i, v)),
+                }
+            },
+        );
+        w
+    });
+    let nan = winners.iter().any(|w| w.nan);
+    assert!(!nan || points.len() < 2, "finite coordinates");
+    let mut best: Option<(usize, f64)> = None;
+    for (i, v) in winners.into_iter().filter_map(|w| w.best) {
+        match best {
+            Some((_, bv)) if v < bv => {}
+            _ => best = Some((i, v)),
+        }
+    }
+    best.expect("non-empty").0
+}
+
+/// Runs `scan` over up to `threads` contiguous chunks of `0..n` (the
+/// first on the calling thread, the rest on scoped threads) and returns
+/// the chunk results in index order. A chunk holds at least one group of
+/// [`LANES`] points, so a thread count far above `n` cannot start a thread
+/// per point; one thread, or at most [`LANES`] points, scans `0..n` in one
+/// piece.
+fn in_chunks<R: Send>(
+    n: usize,
+    threads: usize,
+    scan: impl Fn(Range<usize>) -> R + Sync,
+) -> Vec<R> {
+    let chunk = n.div_ceil(threads.max(1)).max(LANES);
+    if chunk >= n {
+        return vec![scan(0..n)];
+    }
+    let scan = &scan;
+    std::thread::scope(|s| {
+        let rest: Vec<_> = (chunk..n)
+            .step_by(chunk)
+            .map(|lo| s.spawn(move || scan(lo..n.min(lo + chunk))))
+            .collect();
+        let mut out = Vec::with_capacity(rest.len() + 1);
+        out.push(scan(0..chunk));
+        for handle in rest {
+            out.push(handle.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
+        }
+        out
+    })
+}
+
+/// Farthest-point sweeps behind [`diameter_estimate`].
+const DIAMETER_SWEEPS: usize = 4;
+
+/// Lower bound on the diameter `D(S)` from up to [`DIAMETER_SWEEPS`]
+/// farthest-point sweeps, the first from point 0 and each later one from
+/// the previous sweep's endpoint, stopping once a sweep does not lengthen
+/// the distance (at least `D/2` in any metric space, and typically much
+/// tighter). Also returns the endpoints of the first two sweeps — the
+/// point farthest from point 0 and the point farthest from that — which
+/// seed APPROXCH; the second is only meaningful when the estimate is
+/// positive.
+pub(crate) fn diameter_estimate<P: Points + Sync + ?Sized>(
+    points: &P,
+    threads: usize,
+) -> (f64, [usize; 2]) {
+    let mut ends = [0usize; 2];
+    if points.len() < 2 {
+        return (0.0, ends);
+    }
+    let (mut a, mut best) = (0usize, 0.0f64);
+    for sweep in 0..DIAMETER_SWEEPS {
+        let (b, d2) = farthest(points, points.point(a), threads).expect("non-empty");
+        if let Some(end) = ends.get_mut(sweep) {
+            *end = b;
+        }
+        let d = d2.sqrt();
+        if d <= best {
+            break;
+        }
+        best = d;
+        a = b;
+    }
+    (best, ends)
 }
 
 #[cfg(test)]
@@ -302,17 +444,6 @@ mod tests {
     }
 
     #[test]
-    fn from_matrix_columns_transposes() {
-        // 2x3 matrix: rows are dims, columns are points.
-        let rows = vec![vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]];
-        let ps = PointSet::from_matrix_columns(&rows);
-        assert_eq!(ps.len(), 3);
-        assert_eq!(ps.dim(), 2);
-        assert_eq!(ps.point(0), &[1.0, 4.0]);
-        assert_eq!(ps.point(2), &[3.0, 6.0]);
-    }
-
-    #[test]
     fn distances() {
         let ps = unit_square();
         assert!((ps.dist_sq(0, 2) - 2.0).abs() < 1e-15);
@@ -332,31 +463,147 @@ mod tests {
     #[test]
     fn diameter_estimate_square() {
         let ps = unit_square();
-        let d = ps.diameter_estimate(3);
+        let (d, ends) = diameter_estimate(&ps, 1);
         assert!((d - 2.0f64.sqrt()).abs() < 1e-12);
+        // Corner 2 is farthest from corner 0, and corner 0 from corner 2.
+        assert_eq!(ends, [2, 0]);
     }
 
     #[test]
     fn diameter_of_single_point_is_zero() {
         let ps = PointSet::from_points(&[vec![1.0, 1.0]]);
-        assert_eq!(ps.diameter_estimate(3), 0.0);
+        assert_eq!(diameter_estimate(&ps, 1).0, 0.0);
+    }
+
+    /// Seeded coordinates in `[-1, 1)` with a sprinkling of exact zeros of
+    /// both signs.
+    fn coords(len: usize, seed: u64) -> Vec<f64> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        (0..len)
+            .map(|i| match i % 11 {
+                3 => 0.0,
+                7 => -0.0,
+                _ => rng.gen_range(-1.0..1.0),
+            })
+            .collect()
     }
 
     #[test]
-    fn fft_picks_spread_points() {
-        let ps = unit_square();
-        let picks = ps.farthest_first_traversal(&[0], 2);
-        // Farthest from corner 0 is corner 2; farthest from {0, 2} is
-        // corner 1 or 3 (distance 1), not the center (distance ~0.707).
-        assert_eq!(picks[0], 2);
-        assert!(picks[1] == 1 || picks[1] == 3);
+    fn lane_kernels_match_dot_and_dist_sq_bitwise() {
+        for d in [1usize, 2, 7, 64, 13] {
+            let a = coords(d, d as u64);
+            let flat = coords(LANES * d, 100 + d as u64);
+            let rows: [&[f64]; LANES] = std::array::from_fn(|l| &flat[l * d..(l + 1) * d]);
+            let dots = dot_lanes(&a, rows);
+            let dists = dist_sq_lanes(rows, &a);
+            for l in 0..LANES {
+                assert_eq!(dots[l].to_bits(), dot(&a, rows[l]).to_bits(), "dot d={d} l={l}");
+                assert_eq!(
+                    dists[l].to_bits(),
+                    dist_sq(rows[l], &a).to_bits(),
+                    "dist_sq d={d} l={l}"
+                );
+            }
+        }
     }
 
     #[test]
-    fn fft_exhausts_gracefully() {
-        let ps = PointSet::from_points(&[vec![0.0], vec![1.0]]);
-        let picks = ps.farthest_first_traversal(&[0], 5);
-        assert_eq!(picks, vec![1]);
+    fn lane_kernels_keep_negative_zero() {
+        // Every product is -0.0: `dot`'s fold from -0.0 gives -0.0, and so
+        // must each lane (a fold from +0.0 would give +0.0).
+        for d in [1usize, 2, 7, 64] {
+            let a: Vec<f64> = (0..d).map(|t| if t % 2 == 0 { 1.0 } else { -2.0 }).collect();
+            let row: Vec<f64> = (0..d).map(|t| if t % 2 == 0 { -0.0 } else { 0.0 }).collect();
+            let expect = dot(&a, &row);
+            assert!(expect == 0.0 && expect.is_sign_negative());
+            for v in dot_lanes(&a, [row.as_slice(); LANES]) {
+                assert_eq!(v.to_bits(), expect.to_bits(), "d={d}");
+            }
+        }
+    }
+
+    /// The sweeps against plain serial scans over `dot` and `dist_sq`, on
+    /// point counts that leave a remainder past the last group of lanes.
+    #[test]
+    fn sweeps_match_serial_scans_at_every_chunking() {
+        for (n, d) in [(1usize, 3usize), (7, 2), (20, 7), (37, 64), (64, 1)] {
+            let ps = PointSet::from_flat(d, coords(n * d, n as u64));
+            let q = coords(d, 7);
+            let serial_far = (0..n)
+                .fold(None, |best: Option<(usize, f64)>, i| {
+                    let d2 = dist_sq(ps.point(i), &q);
+                    match best {
+                        Some((_, bd)) if d2 <= bd => best,
+                        _ => Some((i, d2)),
+                    }
+                })
+                .unwrap();
+            let serial_max = (0..n)
+                .max_by(|&i, &j| {
+                    dot(&q, ps.point(i)).partial_cmp(&dot(&q, ps.point(j))).unwrap()
+                })
+                .unwrap();
+            for threads in [1usize, 2, 3, 5] {
+                let (i, d2) = farthest(&ps, &q, threads).unwrap();
+                assert_eq!((i, d2.to_bits()), (serial_far.0, serial_far.1.to_bits()));
+                assert_eq!(argmax_dot(&ps, &q, threads), serial_max, "n={n} threads={threads}");
+            }
+        }
+    }
+
+    /// Exact ties placed at every pair of positions, across the lane
+    /// groups and the chunk boundaries of 1, 2 and 3 threads: the argmax
+    /// keeps the last maximum (`max_by`), the farthest sweep the first.
+    #[test]
+    fn sweep_ties_hold_across_chunks() {
+        let n = 20;
+        for i in 0..n {
+            for j in i + 1..n {
+                let mut xs: Vec<f64> = (0..n).map(|k| (k % 5) as f64 * 0.25 - 0.5).collect();
+                xs[i] = 3.0;
+                xs[j] = 3.0;
+                let ps = PointSet::from_flat(1, xs);
+                for threads in [1usize, 2, 3] {
+                    assert_eq!(argmax_dot(&ps, &[1.0], threads), j, "{i},{j} t={threads}");
+                    let (far, _) = farthest(&ps, &[-1.0], threads).unwrap();
+                    assert_eq!(far, i, "{i},{j} t={threads}");
+                }
+            }
+        }
+    }
+
+    /// A NaN distance makes the serial scan take it and then whatever
+    /// follows; the chunk merge must land on the same point.
+    #[test]
+    fn farthest_merge_matches_serial_scan_around_nan() {
+        let n = 21;
+        for at in 0..n {
+            let mut xs: Vec<f64> = (0..n).map(|k| ((k * 7) % 9) as f64).collect();
+            xs[at] = f64::NAN;
+            let ps = PointSet::from_flat(1, xs);
+            let serial = farthest_in(&ps, &[0.0], 0..n).best.unwrap();
+            for threads in [2usize, 3, 4] {
+                let got = farthest(&ps, &[0.0], threads).unwrap();
+                assert_eq!((got.0, got.1.to_bits()), (serial.0, serial.1.to_bits()), "at={at}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "finite coordinates")]
+    fn argmax_panics_on_nan_on_one_thread() {
+        let mut xs = vec![1.0; 20];
+        xs[11] = f64::NAN;
+        argmax_dot(&PointSet::from_flat(1, xs), &[1.0], 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite coordinates")]
+    fn argmax_panics_on_nan_in_a_worker_chunk() {
+        let mut xs = vec![1.0; 20];
+        xs[17] = f64::NAN;
+        argmax_dot(&PointSet::from_flat(1, xs), &[1.0], 3);
     }
 
     #[test]

@@ -114,25 +114,4 @@ proptest! {
             "convex combination flagged outside: {:?}", m
         );
     }
-
-    /// Farthest-first traversal returns distinct valid indices and the
-    /// first pick maximizes the distance to the seed set.
-    #[test]
-    fn fft_contract(pts in points_nd(2), count in 1usize..8) {
-        let ps = PointSet::from_points(&pts);
-        let picks = ps.farthest_first_traversal(&[0], count);
-        prop_assert!(picks.len() <= count);
-        let mut dedup = picks.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        prop_assert_eq!(dedup.len(), picks.len());
-        prop_assert!(picks.iter().all(|&p| p < ps.len() && p != 0));
-        if let Some(&first) = picks.first() {
-            let (true_far, _) = ps.farthest_from_index(0).unwrap();
-            prop_assert!(
-                (ps.dist_sq(0, first) - ps.dist_sq(0, true_far)).abs() < 1e-9,
-                "first pick must be the farthest point from the seed"
-            );
-        }
-    }
 }

@@ -484,6 +484,7 @@ fn hull_guided(
             theta,
             ApproxChOptions {
                 max_vertices: Some(params.budget(n)),
+                threads: sketch_params.threads,
                 ..ApproxChOptions::default()
             },
         );
