@@ -31,6 +31,12 @@
 //! candidate pool, recording candidates/s, the speedup, and whether both
 //! paths pick the same best edge.
 //!
+//! A `candidate_screen` record (also `BENCH_optimize.json`) runs the
+//! sketch screen CHMINRECC and MINRECC use on the same pool: screen and
+//! confirm times beside the whole-pool time, the CG-best candidate's rank
+//! in screen order, the screen's relative error against the CG scores,
+//! and whether the screen scores are bitwise equal at 1, 2 and 4 threads.
+//!
 //! A fourth record (also `BENCH_optimize.json`, `"bench": "job_latency"`)
 //! measures end-to-end optimization-as-a-service latency: the same SIMPLE
 //! greedy plan produced as a serial CLI batch call and as a served
@@ -67,9 +73,10 @@
 //! bitwise, batched kernel vs scalar loop across the batch-size ×
 //! thread-count matrix, pruned scan single and batched vs the unpruned
 //! scan bitwise), if the write-path gate fails (the chained engine's
-//! pruned scans vs its unpruned scans bitwise) or if the threaded hull
-//! differs from the one-thread hull, because those are correctness bugs,
-//! not performance regressions.
+//! pruned scans vs its unpruned scans bitwise), if the threaded hull
+//! differs from the one-thread hull or if the candidate screen's scores
+//! differ across thread counts, because those are correctness bugs, not
+//! performance regressions.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
@@ -82,7 +89,8 @@ use reecc_datasets::{preprocess, Dataset};
 use reecc_graph::Edge;
 use reecc_hull::approxch::{approx_convex_hull, ApproxChOptions};
 use reecc_opt::{
-    simple_greedy_with_diagnostics, CandidateEvaluator, CandidateScore, Problem, SimpleOptions,
+    screen_edges, shortlist, simple_greedy_with_diagnostics, CandidateEvaluator,
+    CandidateScore, Problem, SimpleOptions, CONFIRM,
 };
 use reecc_serve::jobs::{JobRunner, JobSpec, JobsConfig, OptimizerKind};
 use reecc_serve::LiveEngine;
@@ -512,6 +520,60 @@ fn main() {
     );
     append_record("BENCH_optimize.json", &optimize_record);
 
+    // The sketch screen CHMINRECC and MINRECC run before CG (DESIGN §17),
+    // on the same pool and base distances, single-threaded like the
+    // record above. Gate: the screen scores are bitwise equal at 1, 2
+    // and 4 threads. The CG-best candidate's rank in screen order (1 =
+    // the screen's best; within CONFIRM means the confirm solve sees it)
+    // is recorded, never gated.
+    eprintln!("screening the same pool on the sketch ...");
+    let screen_at = |threads: usize| {
+        screen_edges(&blocked, &base_dist, source, &candidates, threads, None)
+            .expect("no cancel token")
+    };
+    let (screen, _, screen_secs) = timed_median3(|| screen_at(1));
+    let screen_bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let screen_threads_bits_match =
+        [2usize, 4].iter().all(|&t| screen_bits(&screen_at(t)) == screen_bits(&screen));
+    let confirmed: Vec<Edge> =
+        shortlist(&screen, CONFIRM).into_iter().map(|i| candidates[i]).collect();
+    let ((confirm_scores, _), confirm_secs) =
+        timed(|| blocked_eval.evaluate_edges(&g, &base_dist, source, &confirmed));
+    let cg_best_rank = blocked_choice.filter(|&b| screen[b].is_finite()).map(|b| {
+        let ahead = |i: usize| screen[i] < screen[b] || (screen[i] == screen[b] && i < b);
+        1 + (0..candidates.len()).filter(|&i| screen[i].is_finite() && ahead(i)).count()
+    });
+    let confirmed_choice_match = best_candidate(&confirm_scores)
+        .map(|i| confirm_scores[i].edge)
+        == blocked_choice.map(|i| blocked_scores[i].edge);
+    let mut rel_errors: Vec<f64> = screen
+        .iter()
+        .zip(&blocked_scores)
+        .filter(|(x, sc)| x.is_finite() && sc.score.is_finite())
+        .map(|(x, sc)| (x - sc.score).abs() / sc.score.abs())
+        .collect();
+    let rel_median = median(&mut rel_errors);
+    let rel_max = rel_errors.last().copied().unwrap_or(0.0);
+    let rank_json = cg_best_rank.map_or_else(|| "null".to_string(), |r| r.to_string());
+    let screen_record = format!(
+        "  {{\n    \"bench\": \"candidate_screen\",\n    \"unix_time\": {unix_time},\n    \
+         \"mode\": \"{mode}\",\n    \
+         \"graph\": \"{name}\",\n    \"tier\": \"{tier_name}\",\n    \"n\": {n},\n    \
+         \"m\": {m},\n    \"epsilon\": {eps},\n    \"d\": {d},\n    \"source\": {source},\n    \
+         \"candidates\": {cands},\n    \"confirm\": {CONFIRM},\n    \"threads\": 1,\n    \
+         \"screen_ms\": {sms:.3},\n    \"confirm_ms\": {cms:.3},\n    \
+         \"whole_pool_ms\": {wms:.3},\n    \"cg_best_rank\": {rank_json},\n    \
+         \"confirmed_choice_match\": {confirmed_choice_match},\n    \
+         \"rel_error\": {{\"median\": {rel_median:.6e}, \"max\": {rel_max:.6e}}},\n    \
+         \"screen_threads_bits_match\": {screen_threads_bits_match}\n  }}",
+        d = blocked.dimension(),
+        cands = candidates.len(),
+        sms = screen_secs * 1e3,
+        cms = confirm_secs * 1e3,
+        wms = blocked_eval_secs * 1e3,
+    );
+    append_record("BENCH_optimize.json", &screen_record);
+
     // End-to-end job latency: the same SIMPLE greedy plan three ways —
     // serial CLI batch (eager and CELF-lazy), then the identical specs as
     // served background jobs measured submit → result. Closes the ROADMAP
@@ -657,6 +719,16 @@ fn main() {
         per_s(blocked_eval_secs),
     );
     println!(
+        "candidate screen ({} candidates, {CONFIRM} confirmed): screen {:.1} ms, confirm \
+         {:.1} ms, whole pool {:.1} ms; CG-best rank in screen order {rank_json}, confirmed \
+         choice match: {confirmed_choice_match}; |screen - CG|/CG median {rel_median:.2e}, max \
+         {rel_max:.2e}; bits match across threads: {screen_threads_bits_match}",
+        candidates.len(),
+        screen_secs * 1e3,
+        confirm_secs * 1e3,
+        blocked_eval_secs * 1e3,
+    );
+    println!(
         "query read path (hull {hull_len}, {} queries): full scan {:.1} us/query, pruned \
          scan {:.1} us/query ({pruned_speedup:.2}x, {:.1} % of nodes evaluated on average, \
          hull misses {:.1} % of sources, bits match: {pruned_bits_match}), panel scalar \
@@ -701,6 +773,10 @@ fn main() {
     }
     if !chosen_edge_match {
         eprintln!("FAIL: serial and blocked candidate evaluation chose different edges");
+        std::process::exit(1);
+    }
+    if !screen_threads_bits_match {
+        eprintln!("FAIL: the candidate screen's scores differ across thread counts");
         std::process::exit(1);
     }
     if !pruned_bits_match {

@@ -23,6 +23,8 @@
 //! Sherman–Morrison machinery — one CG solve per hypothetical edge, no
 //! rebuild — which is exactly the inner loop of the optimizers.
 
+use std::sync::OnceLock;
+
 use reecc_graph::{Edge, Graph};
 use reecc_hull::approxch::{approx_convex_hull, ApproxChOptions};
 use reecc_linalg::cg::CgWorkspace;
@@ -47,12 +49,14 @@ pub struct EccentricityAnswer {
 
 /// A built sketch + hull pair answering repeated queries.
 ///
-/// The engine is a plain owned value with no interior mutability: every
-/// query method takes `&self` and allocates any scratch space it needs
-/// locally (see [`Self::eccentricity_after_edge`]). It is therefore
-/// `Send + Sync` and intended to be shared across worker threads behind
-/// an `Arc` — the `reecc-serve` thread pool does exactly that. A
-/// compile-time assertion below keeps that property from regressing.
+/// The engine is a plain owned value: every query method takes `&self`
+/// and allocates any scratch space it needs locally (see
+/// [`Self::eccentricity_after_edge`]). Its one piece of interior
+/// mutability is a write-once cell holding the batch thread count, which
+/// the first multi-source batch resolves. It is therefore `Send + Sync`
+/// and intended to be shared across worker threads behind an `Arc` — the
+/// `reecc-serve` thread pool does exactly that. A compile-time assertion
+/// below keeps that property from regressing.
 #[derive(Debug, Clone)]
 pub struct QueryEngine {
     graph: Graph,
@@ -60,6 +64,9 @@ pub struct QueryEngine {
     hull: Vec<usize>,
     panel: HullPanel,
     params: SketchParams,
+    /// [`resolve_threads`]`(params.threads)`, resolved by the first batch
+    /// that threads (see [`Self::batch_threads`]).
+    batch_threads: OnceLock<usize>,
 }
 
 impl QueryEngine {
@@ -157,7 +164,7 @@ impl QueryEngine {
             Some(norms) => HullPanel::with_norms(&sketch, &hull, norms),
             None => HullPanel::build(&sketch, &hull),
         };
-        Ok(QueryEngine { graph, sketch, hull, panel, params })
+        Ok(QueryEngine { graph, sketch, hull, panel, params, batch_threads: OnceLock::new() })
     }
 
     /// The underlying graph.
@@ -279,14 +286,17 @@ impl QueryEngine {
     /// Threads for a default-threaded batch of `sources` whose worst-case
     /// `work` is known: one for a single source or below `floor`, where a
     /// spawn costs more than it saves, else
-    /// [`resolve_threads`]`(params.threads)`. The checks come first
-    /// because resolving `threads: 0` asks the OS each time (about 20 µs
-    /// on a 2-vCPU Linux VM), as long as a small panel sweep.
+    /// [`resolve_threads`]`(params.threads)`, resolved once per engine.
+    /// Resolving `threads: 0` asks the OS (about 20 µs on a 2-vCPU Linux
+    /// VM, as long as a small panel sweep), so the first batch above the
+    /// floor asks and every later one reuses the answer. Every epoch swap
+    /// builds a new engine, so a changed CPU affinity is picked up at the
+    /// next epoch.
     fn batch_threads(&self, sources: usize, work: usize, floor: usize) -> usize {
         if sources < 2 || work < floor {
             1
         } else {
-            resolve_threads(self.params.threads)
+            *self.batch_threads.get_or_init(|| resolve_threads(self.params.threads))
         }
     }
 
@@ -887,6 +897,27 @@ mod tests {
         // produces the same sketch bits.
         let again = QueryEngine::build(&g, engine.params()).unwrap();
         assert_eq!(again.sketch().flat(), engine.sketch().flat());
+    }
+
+    #[test]
+    fn batch_threads_resolve_once_per_engine_and_only_above_the_floor() {
+        let g = barabasi_albert(250, 2, 21);
+        let engine = QueryEngine::build(&g, &SketchParams { threads: 0, ..params() }).unwrap();
+        // One source, or work below the floor, never asks the OS.
+        assert_eq!(engine.batch_threads(1, usize::MAX, 1), 1);
+        assert_eq!(engine.batch_threads(8, 9, 10), 1);
+        assert!(engine.batch_threads.get().is_none());
+        let resolved = engine.batch_threads(8, 10, 10);
+        assert_eq!(resolved, resolve_threads(0));
+        assert_eq!(engine.batch_threads.get(), Some(&resolved));
+        // Clones keep the answer; a new engine starts unresolved.
+        assert_eq!(engine.clone().batch_threads.get(), Some(&resolved));
+        let e = g.non_edges()[0];
+        let next = engine.with_added_edge(e, 1).unwrap().0;
+        assert!(next.batch_threads.get().is_none());
+        // An explicit thread count is taken as given.
+        let two = QueryEngine::build(&g, &SketchParams { threads: 2, ..params() }).unwrap();
+        assert_eq!(two.batch_threads(2, 10, 10), 2);
     }
 
     #[test]

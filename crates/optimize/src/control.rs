@@ -76,7 +76,9 @@ pub struct IterationEvent {
     pub edge: Edge,
     /// The selection score of the committed edge.
     pub score: f64,
-    /// Fresh candidate evaluations performed *this iteration*.
+    /// Fresh candidate evaluations performed *this iteration* (in
+    /// CHMINRECC / MINRECC, the candidates CG confirmed after the sketch
+    /// screen: at most [`crate::CONFIRM`], plus MINRECC's direct edge).
     pub full_evals: usize,
     /// Lazy-greedy re-evaluations skipped *this iteration*.
     pub lazy_hits: usize,

@@ -14,9 +14,11 @@
 //!
 //! Candidate evaluation inside CHMINRECC/MINRECC supports two modes (see
 //! DESIGN.md §3): `Faithful` re-sketches the augmented graph per candidate
-//! exactly as the pseudocode states; `ShermanMorrison` (default) evaluates
-//! each candidate with **one** CG solve via the rank-1 resistance update —
-//! same decisions up to sketch noise at a fraction of the cost.
+//! exactly as the pseudocode states; `ShermanMorrison` (default) scores
+//! the whole pool from sketch inner products ([`crate::screen`]) and
+//! evaluates the [`CONFIRM`] best (plus MINRECC's direct edge) with
+//! **one** CG solve each via the rank-1 resistance update — same
+//! decisions up to sketch noise at a fraction of the cost.
 
 use reecc_core::query::default_hull_budget;
 use reecc_core::sketch::{ResistanceSketch, SketchParams};
@@ -26,6 +28,7 @@ use reecc_hull::approxch::{approx_convex_hull, ApproxChOptions};
 use crate::control::{ControlledRun, IterationEvent, PlanStep, RunControl};
 use crate::evaluator::CandidateEvaluator;
 use crate::problem::validate;
+use crate::screen::{screen_edges, shortlist, CONFIRM};
 use crate::OptError;
 
 /// Robustness record of a heuristic run: candidate evaluations that failed
@@ -40,14 +43,18 @@ pub struct OptDiagnostics {
     /// yielded a usable (if degraded) score.
     pub degraded_evaluations: usize,
     /// Fresh candidate evaluations performed (block-CG columns or exact
-    /// pseudoinverse scans). Work telemetry, not a health signal.
+    /// pseudoinverse scans). In CHMINRECC / MINRECC only the candidates
+    /// the sketch screen passes to CG count, at most [`CONFIRM`] per
+    /// iteration plus MINRECC's direct edge; screening the rest is not an
+    /// evaluation. Work telemetry, not a health signal.
     pub full_evals: usize,
     /// Candidate re-evaluations skipped by CELF lazy greedy because a
     /// stale upper bound already settled the argmax (always `0` in eager
     /// mode). Work telemetry, not a health signal.
     pub lazy_hits: usize,
-    /// Multi-RHS CG blocks solved by the candidate-evaluation engine.
-    /// Work telemetry, not a health signal.
+    /// Multi-RHS CG blocks solved by the candidate-evaluation engine (in
+    /// CHMINRECC / MINRECC, over the confirmed candidates only). Work
+    /// telemetry, not a health signal.
     pub blocks_solved: usize,
     /// Human-readable notes on each skip / early stop.
     pub notes: Vec<String>,
@@ -66,8 +73,10 @@ pub enum EvalMode {
     /// Re-sketch the augmented graph per candidate (paper pseudocode,
     /// `Õ(m/ε²)` per candidate).
     Faithful,
-    /// One CG solve per candidate combined with the current sketch via the
-    /// Sherman–Morrison resistance update (default).
+    /// Sherman–Morrison resistance update (default): every candidate is
+    /// screened from sketch inner products, and the [`CONFIRM`] best
+    /// (plus MINRECC's direct edge) get one CG solve each, combined with
+    /// the current sketch; the CG scores decide.
     #[default]
     ShermanMorrison,
 }
@@ -498,6 +507,7 @@ fn hull_guided(
             }
         }
         // ... plus (MINRECC) the direct edge to the farthest boundary node.
+        let mut direct = None;
         if include_direct {
             let eligible: Vec<usize> = hull
                 .vertices
@@ -507,10 +517,11 @@ fn hull_guided(
                 .collect();
             if !eligible.is_empty() {
                 let (_, far) = sketch.eccentricity_over(s, &eligible);
-                let direct = Edge::new(s, far);
-                if !candidates.contains(&direct) {
-                    candidates.push(direct);
+                let edge = Edge::new(s, far);
+                if !candidates.contains(&edge) {
+                    candidates.push(edge);
                 }
+                direct = candidates.iter().position(|&e| e == edge);
             }
         }
         if candidates.is_empty() {
@@ -537,19 +548,33 @@ fn hull_guided(
         let mut evals_this_iter = 0usize;
         let chosen = match params.eval {
             EvalMode::ShermanMorrison => {
-                // Blocked + parallel engine: one multi-RHS CG block per
-                // `width` candidates, failed columns individually rescued
-                // by the recovery ladder. Scores arrive in candidate
-                // order, so the first-best selection below (strictly
-                // smaller wins, earliest candidate wins ties) and the
-                // skip/degrade accounting match the old serial loop
-                // decision-for-decision.
+                // Screen the whole pool on the sketch, then let the
+                // blocked + parallel CG engine judge the `CONFIRM` best
+                // and the direct edge (DESIGN §17). The confirmed set
+                // keeps candidate order, so the first-best selection
+                // below (strictly smaller wins, earliest candidate wins
+                // ties) and the skip/degrade accounting run over its
+                // scores exactly as they ran over the whole pool: a pool
+                // of at most `CONFIRM` candidates gets the whole-pool
+                // decision, and so does any pool whose CG-best is
+                // confirmed.
                 let base = evaluator.distance_scan(&sketch, s);
+                let Some(screen) = screen_edges(
+                    &sketch,
+                    &base,
+                    s,
+                    &candidates,
+                    evaluator.threads,
+                    ctrl.cancel,
+                ) else {
+                    return Ok(ControlledRun::cancelled(steps, diag, resumed));
+                };
+                let confirmed = confirm_set(iter, &candidates, &screen, direct, &mut diag);
                 let Some((scores, stats)) = evaluator.evaluate_edges_cancellable(
                     &current,
                     &base,
                     s,
-                    &candidates,
+                    &confirmed,
                     ctrl.cancel,
                 ) else {
                     return Ok(ControlledRun::cancelled(steps, diag, resumed));
@@ -640,6 +665,36 @@ fn hull_guided(
         steps.push(PlanStep { edge: chosen, score });
     }
     Ok(ControlledRun::finished(steps, diag, resumed))
+}
+
+/// The candidates CG confirms, in candidate order: the [`CONFIRM`] best
+/// screen scores plus MINRECC's `direct` edge wherever it ranks (the
+/// screen's error is correlated across pairs sharing an endpoint, and
+/// the direct edge was the CG-best the top 64 missed; DESIGN §17.2). A
+/// non-finite screen score is skipped and counted (DESIGN §7.4), never
+/// confirmed.
+fn confirm_set(
+    iter: usize,
+    candidates: &[Edge],
+    screen: &[f64],
+    direct: Option<usize>,
+    diag: &mut OptDiagnostics,
+) -> Vec<Edge> {
+    for (e, score) in candidates.iter().zip(screen) {
+        if !score.is_finite() {
+            diag.skipped_candidates += 1;
+            diag.notes.push(format!(
+                "iteration {iter}: skipped candidate {e:?} (non-finite screen score)"
+            ));
+        }
+    }
+    let mut picked = shortlist(screen, CONFIRM);
+    if let Some(d) = direct.filter(|&d| screen[d].is_finite()) {
+        if let Err(at) = picked.binary_search(&d) {
+            picked.insert(at, d);
+        }
+    }
+    picked.into_iter().map(|i| candidates[i]).collect()
 }
 
 #[cfg(test)]
@@ -819,6 +874,47 @@ mod tests {
         assert_eq!(plan.len(), 2, "diagnostics: {diag:?}");
         assert_eq!(diag.skipped_candidates, 0, "diagnostics: {diag:?}");
         assert!(diag.degraded_evaluations > 0);
+    }
+
+    #[test]
+    fn non_finite_screen_scores_are_skipped_counted_and_never_confirmed() {
+        let candidates: Vec<Edge> = (1..9).map(|v| Edge::new(0, v)).collect();
+        let screen = [2.0, f64::NAN, 1.0, f64::INFINITY, 3.0, f64::NEG_INFINITY, 0.5, 4.0];
+        let mut diag = OptDiagnostics::default();
+        let confirmed = confirm_set(5, &candidates, &screen, None, &mut diag);
+        let want: Vec<Edge> = [0usize, 2, 4, 6, 7].iter().map(|&i| candidates[i]).collect();
+        assert_eq!(confirmed, want);
+        assert_eq!(diag.skipped_candidates, 3);
+        assert_eq!(diag.notes.len(), 3);
+        assert!(diag.notes.iter().all(|n| n.starts_with("iteration 5: skipped candidate")));
+        assert!(diag.notes[0].contains("non-finite screen score"), "{:?}", diag.notes);
+
+        // A direct edge with a non-finite screen score is not confirmed
+        // either.
+        let mut diag = OptDiagnostics::default();
+        assert_eq!(confirm_set(5, &candidates, &screen, Some(1), &mut diag), want);
+        assert_eq!(diag.skipped_candidates, 3);
+
+        // A pool larger than CONFIRM keeps the CONFIRM lowest scores ...
+        let candidates: Vec<Edge> = (1..=100).map(|v| Edge::new(0, v)).collect();
+        let screen: Vec<f64> = (0..100).map(|i| ((i * 37) % 100) as f64).collect();
+        let mut diag = OptDiagnostics::default();
+        let confirmed = confirm_set(0, &candidates, &screen, None, &mut diag);
+        assert_eq!(confirmed.len(), CONFIRM);
+        assert!(confirmed.windows(2).all(|w| w[0] < w[1]), "candidate order");
+        assert!(confirmed.iter().all(|e| screen[e.v - 1] < CONFIRM as f64));
+        assert!(diag.clean() && diag.notes.is_empty());
+        // ... plus the direct edge wherever it ranks, in candidate order,
+        // and only once when it ranks among them.
+        let (worst, best) = (27usize, 0usize);
+        assert_eq!((screen[worst], screen[best]), (99.0, 0.0));
+        let with_direct = confirm_set(0, &candidates, &screen, Some(worst), &mut diag);
+        assert_eq!(with_direct.len(), CONFIRM + 1);
+        assert!(with_direct.windows(2).all(|w| w[0] < w[1]), "candidate order");
+        let without: Vec<Edge> =
+            with_direct.iter().copied().filter(|&e| e != candidates[worst]).collect();
+        assert_eq!(without, confirmed);
+        assert_eq!(confirm_set(0, &candidates, &screen, Some(best), &mut diag), confirmed);
     }
 
     #[test]

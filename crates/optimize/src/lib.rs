@@ -33,6 +33,7 @@ pub mod evaluator;
 pub mod exhaustive;
 pub mod heuristics;
 pub mod problem;
+pub mod screen;
 pub mod simple;
 pub mod supermodularity;
 pub mod trajectory;
@@ -48,6 +49,7 @@ pub use heuristics::{
     min_recc_with_diagnostics, EvalMode, OptDiagnostics, OptimizeParams,
 };
 pub use problem::Problem;
+pub use screen::{screen_edges, shortlist, CONFIRM};
 pub use simple::{
     simple_greedy, simple_greedy_controlled, simple_greedy_with_diagnostics, SimpleOptions,
 };
