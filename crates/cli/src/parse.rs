@@ -43,8 +43,9 @@ pub enum Command {
         /// Worker threads for candidate evaluation and the sketch build
         /// (`0` = auto via `resolve_threads`).
         threads: usize,
-        /// Right-hand sides per blocked-CG batch (`0` = adaptive default,
-        /// `1` = scalar solves).
+        /// Right-hand sides per blocked-CG batch (`0` = adaptive default).
+        /// At `1` the sketch build takes its scalar CG path and the
+        /// candidate evaluator solves one-column blocks.
         block_size: usize,
         /// Floating-point mode for the sketch and candidate solves.
         precision: PrecisionArg,

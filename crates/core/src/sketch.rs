@@ -25,7 +25,7 @@ use reecc_graph::{Edge, Graph};
 use reecc_hull::PointsView;
 use reecc_linalg::block::BlockVectors;
 use reecc_linalg::block_cg::{
-    solve_laplacian_block, solve_laplacian_block_mixed, BlockCgWorkspace, MixedOptions,
+    solve_laplacian_block, solve_laplacian_block_mixed, BlockCgWorkspace,
 };
 use reecc_linalg::cg::{solve_laplacian, CgOptions, CgWorkspace};
 use reecc_linalg::jl::{jl_dimension_scaled, projected_incidence_rows, projection_column};
@@ -383,13 +383,7 @@ impl ResistanceSketch {
                 for batch in assigned {
                     let rhs_block = BlockVectors::from_columns(batch);
                     let outcome = if mixed {
-                        solve_laplacian_block_mixed(
-                            &op,
-                            &rhs_block,
-                            params.cg,
-                            MixedOptions::default(),
-                            &mut ws,
-                        )
+                        solve_laplacian_block_mixed(&op, &rhs_block, params.cg, &mut ws)
                     } else {
                         solve_laplacian_block(&op, &rhs_block, params.cg, &mut ws)
                     };

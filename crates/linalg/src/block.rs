@@ -9,26 +9,42 @@
 //! `apply_block`) amortize loop overhead and operand streaming across all
 //! `b` columns.
 //!
+//! The block type and its kernels are generic over the element type
+//! ([`Scalar`]): `BlockVectors` (the default, `f64`) for the solves and
+//! `BlockVectors<f32>` for the mixed-precision inner solve, whose half-width
+//! entries let the SpMM's node-major gather set fit L2 at twice the node
+//! count. One body serves both.
+//!
 //! The per-column arithmetic deliberately matches the scalar kernels in
 //! [`crate::vector`] operation-for-operation (same order of additions), so
 //! a blocked computation is **bitwise identical** to running the scalar
 //! path once per column. The sketch layer relies on this to keep blocked
 //! and single-RHS builds interchangeable.
 
-use crate::vector;
+use crate::vector::{self, Scalar};
 
 /// `b` vectors of length `n` in one contiguous column-major buffer.
 #[derive(Debug, Clone, PartialEq)]
-pub struct BlockVectors {
+pub struct BlockVectors<T = f64> {
     n: usize,
     b: usize,
-    data: Vec<f64>,
+    data: Vec<T>,
 }
 
-impl BlockVectors {
+impl<T: Scalar> BlockVectors<T> {
     /// An all-zero `n×b` block.
     pub fn zeros(n: usize, b: usize) -> Self {
-        BlockVectors { n, b, data: vec![0.0; n * b] }
+        BlockVectors { n, b, data: vec![T::ZERO; n * b] }
+    }
+
+    /// The block in `slot` if it is `n×b`, else a fresh zero block; either
+    /// way `slot` is left empty. Workspaces hand their buffers back and
+    /// forth through this, so same-shape solves allocate once.
+    pub(crate) fn reuse(slot: &mut Option<Self>, n: usize, b: usize) -> Self {
+        match slot.take() {
+            Some(block) if block.n == n && block.b == b => block,
+            _ => Self::zeros(n, b),
+        }
     }
 
     /// Bundle `columns` (each of length `n`) into a block.
@@ -36,7 +52,7 @@ impl BlockVectors {
     /// # Panics
     ///
     /// Panics if `columns` is empty or ragged.
-    pub fn from_columns(columns: &[Vec<f64>]) -> Self {
+    pub fn from_columns(columns: &[Vec<T>]) -> Self {
         assert!(!columns.is_empty(), "block needs at least one column");
         let n = columns[0].len();
         let mut data = Vec::with_capacity(n * columns.len());
@@ -67,19 +83,19 @@ impl BlockVectors {
 
     /// Borrow column `j` as a contiguous slice.
     #[inline]
-    pub fn column(&self, j: usize) -> &[f64] {
+    pub fn column(&self, j: usize) -> &[T] {
         &self.data[j * self.n..(j + 1) * self.n]
     }
 
     /// Mutably borrow column `j` as a contiguous slice.
     #[inline]
-    pub fn column_mut(&mut self, j: usize) -> &mut [f64] {
+    pub fn column_mut(&mut self, j: usize) -> &mut [T] {
         &mut self.data[j * self.n..(j + 1) * self.n]
     }
 
     /// The whole column-major buffer.
     #[inline]
-    pub fn as_slice(&self) -> &[f64] {
+    pub fn as_slice(&self) -> &[T] {
         &self.data
     }
 
@@ -87,12 +103,12 @@ impl BlockVectors {
     /// `i + j*n`) — the SpMM kernels write through this to avoid
     /// re-slicing per matrix row.
     #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
+    pub fn as_mut_slice(&mut self) -> &mut [T] {
         &mut self.data
     }
 
     /// Copy column `j` out as an owned vector.
-    pub fn column_to_vec(&self, j: usize) -> Vec<f64> {
+    pub fn column_to_vec(&self, j: usize) -> Vec<T> {
         self.column(j).to_vec()
     }
 
@@ -101,7 +117,7 @@ impl BlockVectors {
     /// # Panics
     ///
     /// Panics on length mismatch.
-    pub fn set_column(&mut self, j: usize, src: &[f64]) {
+    pub fn set_column(&mut self, j: usize, src: &[T]) {
         self.column_mut(j).copy_from_slice(src);
     }
 
@@ -109,8 +125,8 @@ impl BlockVectors {
     /// block lands at `out[i*b + j]`, so all `b` values for row `i` are
     /// contiguous. The SpMM kernels gather through this layout — one or two
     /// cache lines per matrix entry instead of `b` scattered lines.
-    pub fn transpose_into(&self, out: &mut Vec<f64>) {
-        out.resize(self.n * self.b, 0.0);
+    pub fn transpose_into(&self, out: &mut Vec<T>) {
+        out.resize(self.n * self.b, T::ZERO);
         for j in 0..self.b {
             let col = &self.data[j * self.n..(j + 1) * self.n];
             for (i, &x) in col.iter().enumerate() {
@@ -127,7 +143,12 @@ impl BlockVectors {
 /// # Panics
 ///
 /// Panics on shape mismatch.
-pub fn block_axpy(alphas: &[f64], x: &BlockVectors, y: &mut BlockVectors, active: &[bool]) {
+pub fn block_axpy<T: Scalar>(
+    alphas: &[T],
+    x: &BlockVectors<T>,
+    y: &mut BlockVectors<T>,
+    active: &[bool],
+) {
     assert_eq!(x.n, y.n, "block_axpy: length mismatch");
     assert_eq!(x.b, y.b, "block_axpy: block width mismatch");
     assert_eq!(alphas.len(), x.b, "block_axpy: coefficient count");
@@ -140,13 +161,18 @@ pub fn block_axpy(alphas: &[f64], x: &BlockVectors, y: &mut BlockVectors, active
 }
 
 /// Fused multi-RHS dot: `out[j] = x_j · y_j` for every column `j` with
-/// `active[j]` (inactive entries are left untouched). Per-column summation
-/// order matches [`vector::dot`] exactly.
+/// `active[j]` (inactive entries are left untouched), accumulated in
+/// `f64`. Per-column summation order matches [`vector::dot`] exactly.
 ///
 /// # Panics
 ///
 /// Panics on shape mismatch.
-pub fn block_dot(x: &BlockVectors, y: &BlockVectors, out: &mut [f64], active: &[bool]) {
+pub fn block_dot<T: Scalar>(
+    x: &BlockVectors<T>,
+    y: &BlockVectors<T>,
+    out: &mut [f64],
+    active: &[bool],
+) {
     assert_eq!(x.n, y.n, "block_dot: length mismatch");
     assert_eq!(x.b, y.b, "block_dot: block width mismatch");
     assert_eq!(out.len(), x.b, "block_dot: output length");
@@ -165,7 +191,12 @@ pub fn block_dot(x: &BlockVectors, y: &BlockVectors, out: &mut [f64], active: &[
 /// # Panics
 ///
 /// Panics on shape mismatch.
-pub fn block_xpby(x: &BlockVectors, betas: &[f64], y: &mut BlockVectors, active: &[bool]) {
+pub fn block_xpby<T: Scalar>(
+    x: &BlockVectors<T>,
+    betas: &[T],
+    y: &mut BlockVectors<T>,
+    active: &[bool],
+) {
     assert_eq!(x.n, y.n, "block_xpby: length mismatch");
     assert_eq!(x.b, y.b, "block_xpby: block width mismatch");
     assert_eq!(betas.len(), x.b, "block_xpby: coefficient count");
@@ -191,173 +222,18 @@ pub fn block_xpby(x: &BlockVectors, betas: &[f64], y: &mut BlockVectors, active:
 /// # Panics
 ///
 /// Panics on shape mismatch, including `mirror.len() != n * b`.
-pub fn block_xpby_mirror(
-    x: &BlockVectors,
-    betas: &[f64],
-    y: &mut BlockVectors,
+pub fn block_xpby_mirror<T: Scalar>(
+    x: &BlockVectors<T>,
+    betas: &[T],
+    y: &mut BlockVectors<T>,
     active: &[bool],
-    mirror: &mut [f64],
+    mirror: &mut [T],
 ) {
     assert_eq!(x.n, y.n, "block_xpby_mirror: length mismatch");
     assert_eq!(x.b, y.b, "block_xpby_mirror: block width mismatch");
     assert_eq!(betas.len(), x.b, "block_xpby_mirror: coefficient count");
     assert_eq!(active.len(), x.b, "block_xpby_mirror: mask length");
     assert_eq!(mirror.len(), x.n * x.b, "block_xpby_mirror: mirror size");
-    let b = x.b;
-    for j in 0..b {
-        if !active[j] {
-            continue;
-        }
-        let beta = betas[j];
-        let xc = x.column(j);
-        let yc = y.column_mut(j);
-        for i in 0..yc.len() {
-            let v = xc[i] + beta * yc[i];
-            yc[i] = v;
-            mirror[i * b + j] = v;
-        }
-    }
-}
-
-/// `b` vectors of length `n` in one contiguous column-major **f32**
-/// buffer — the storage side of the mixed-precision inner solver. Half
-/// the bytes of [`BlockVectors`] per entry, so the node-major gather set
-/// of the SpMM fits L2 at twice the node count (or twice the width).
-#[derive(Debug, Clone, PartialEq)]
-pub struct BlockVectorsF32 {
-    n: usize,
-    b: usize,
-    data: Vec<f32>,
-}
-
-impl BlockVectorsF32 {
-    /// An all-zero `n×b` block.
-    pub fn zeros(n: usize, b: usize) -> Self {
-        BlockVectorsF32 { n, b, data: vec![0.0; n * b] }
-    }
-
-    /// Vector length `n`.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the vectors have zero length.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Number of columns `b` (the block width).
-    #[inline]
-    pub fn block_size(&self) -> usize {
-        self.b
-    }
-
-    /// Borrow column `j` as a contiguous slice.
-    #[inline]
-    pub fn column(&self, j: usize) -> &[f32] {
-        &self.data[j * self.n..(j + 1) * self.n]
-    }
-
-    /// Mutably borrow column `j` as a contiguous slice.
-    #[inline]
-    pub fn column_mut(&mut self, j: usize) -> &mut [f32] {
-        &mut self.data[j * self.n..(j + 1) * self.n]
-    }
-
-    /// The whole column-major buffer.
-    #[inline]
-    pub fn as_slice(&self) -> &[f32] {
-        &self.data
-    }
-
-    /// Mutable access to the whole column-major buffer (entry `(i, j)` at
-    /// `i + j*n`).
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.data
-    }
-
-    /// Transpose into a node-major f32 scratch buffer (entry `(i, j)` at
-    /// `out[i*b + j]`), the gather layout of the f32 SpMM.
-    pub fn transpose_into(&self, out: &mut Vec<f32>) {
-        out.resize(self.n * self.b, 0.0);
-        for j in 0..self.b {
-            let col = &self.data[j * self.n..(j + 1) * self.n];
-            for (i, &x) in col.iter().enumerate() {
-                out[i * self.b + j] = x;
-            }
-        }
-    }
-}
-
-/// f32 multi-RHS axpy: `y_j += alphas[j] * x_j` for active columns;
-/// per-column arithmetic matches [`vector::axpy_f32`].
-///
-/// # Panics
-///
-/// Panics on shape mismatch.
-pub fn block_axpy_f32(
-    alphas: &[f32],
-    x: &BlockVectorsF32,
-    y: &mut BlockVectorsF32,
-    active: &[bool],
-) {
-    assert_eq!(x.n, y.n, "block_axpy_f32: length mismatch");
-    assert_eq!(x.b, y.b, "block_axpy_f32: block width mismatch");
-    assert_eq!(alphas.len(), x.b, "block_axpy_f32: coefficient count");
-    assert_eq!(active.len(), x.b, "block_axpy_f32: mask length");
-    for j in 0..x.b {
-        if active[j] {
-            vector::axpy_f32(alphas[j], x.column(j), y.column_mut(j));
-        }
-    }
-}
-
-/// f32 multi-RHS dot with **f64 accumulation**: `out[j] = x_j · y_j` for
-/// active columns (inactive entries untouched); per-column summation order
-/// matches [`vector::dot_f32`].
-///
-/// # Panics
-///
-/// Panics on shape mismatch.
-pub fn block_dot_f32(
-    x: &BlockVectorsF32,
-    y: &BlockVectorsF32,
-    out: &mut [f64],
-    active: &[bool],
-) {
-    assert_eq!(x.n, y.n, "block_dot_f32: length mismatch");
-    assert_eq!(x.b, y.b, "block_dot_f32: block width mismatch");
-    assert_eq!(out.len(), x.b, "block_dot_f32: output length");
-    assert_eq!(active.len(), x.b, "block_dot_f32: mask length");
-    for j in 0..x.b {
-        if active[j] {
-            out[j] = vector::dot_f32(x.column(j), y.column(j));
-        }
-    }
-}
-
-/// f32 counterpart of [`block_xpby_mirror`]: fused direction update plus
-/// node-major mirror refresh, per-element arithmetic matching
-/// [`vector::xpby_f32`].
-///
-/// # Panics
-///
-/// Panics on shape mismatch, including `mirror.len() != n * b`.
-pub fn block_xpby_mirror_f32(
-    x: &BlockVectorsF32,
-    betas: &[f32],
-    y: &mut BlockVectorsF32,
-    active: &[bool],
-    mirror: &mut [f32],
-) {
-    assert_eq!(x.n, y.n, "block_xpby_mirror_f32: length mismatch");
-    assert_eq!(x.b, y.b, "block_xpby_mirror_f32: block width mismatch");
-    assert_eq!(betas.len(), x.b, "block_xpby_mirror_f32: coefficient count");
-    assert_eq!(active.len(), x.b, "block_xpby_mirror_f32: mask length");
-    assert_eq!(mirror.len(), x.n * x.b, "block_xpby_mirror_f32: mirror size");
     let b = x.b;
     for j in 0..b {
         if !active[j] {

@@ -24,21 +24,41 @@
 //! arithmetic, which is what lets the sketch layer guarantee
 //! blocked-vs-scalar builds are bitwise identical.
 //!
+//! The masked lockstep loop is written once, generic over the storage
+//! precision ([`Scalar`]): [`solve_laplacian_block`] runs it in `f64`, and
+//! [`solve_laplacian_block_mixed`] runs it in `f32` as the correction
+//! solve of an `f64` iterative refinement. In `f32` the reductions still
+//! accumulate in `f64` and every coefficient is computed in `f64` and
+//! rounded once.
+//!
 //! Columns that stall (budget exhausted, breakdown, non-finite residual)
 //! are reported per column via [`BlockCgOutcome`], so the caller can hand
 //! exactly those right-hand sides to the [`crate::recovery`] escalation
 //! ladder — the block layer does not duplicate any recovery logic.
+//!
+//! [`solve_laplacian`]: crate::cg::solve_laplacian
 
-use crate::block::{
-    block_axpy, block_axpy_f32, block_dot, block_dot_f32, block_xpby_mirror,
-    block_xpby_mirror_f32, BlockVectors, BlockVectorsF32,
-};
-use crate::cg::{apply_preconditioner, CgOptions, Preconditioner};
+use crate::block::{block_axpy, block_dot, block_xpby_mirror, BlockVectors};
+use crate::cg::{CgOptions, Preconditioner};
 use crate::laplacian::LaplacianOp;
-use crate::precond::{
-    chebyshev_apply_block, chebyshev_apply_block_f32, BlockPrecondScratch, PrecondScratch,
-};
-use crate::vector;
+use crate::precond::{apply_column_preconditioner, chebyshev_apply_block, BlockPrecondScratch};
+use crate::vector::{self, Scalar};
+
+/// Relative-residual target of each f32 correction solve of
+/// [`solve_laplacian_block_mixed`]. f32 bottoms out around `1e-6`; `1e-4`
+/// leaves headroom while still contracting the outer residual by ~4
+/// digits per round, so an `1e-8` outer tolerance needs two rounds.
+const MIXED_INNER_TOLERANCE: f64 = 1e-4;
+
+/// Cap on refinement rounds (correction solves per column). Generous:
+/// healthy columns need 2–3; a column still unconverged here is frozen
+/// for the caller's f64 recovery ladder.
+const MIXED_MAX_ROUNDS: usize = 40;
+
+/// A round must shrink a column's relative residual below this factor
+/// times the previous one, or the column is frozen as stalled (f32 has hit
+/// its accuracy floor for that column) and left to the f64 ladder.
+const MIXED_PROGRESS_FACTOR: f64 = 0.9;
 
 /// Outcome of a blocked multi-RHS solve: per-column solutions and
 /// per-column solver telemetry (mirroring [`crate::cg::CgOutcome`]).
@@ -61,28 +81,31 @@ impl BlockCgOutcome {
     }
 }
 
-/// Reusable scratch for [`solve_laplacian_block`]: four `n×b` blocks plus
-/// the node-major mirror of `p` that the SpMM gathers through (transposed
-/// once per solve, then kept current by the fused xpby). Reused across
-/// blocks so a sketch build allocates once per worker, not once per block.
+/// The buffers of one lockstep CG loop in precision `T`: four `n×b`
+/// blocks, the node-major mirror of `p` that the SpMM gathers through
+/// (transposed once per solve, then kept current by the fused xpby), and
+/// the Chebyshev scratch.
+#[derive(Debug, Default)]
+struct LockstepScratch<T> {
+    r: Option<BlockVectors<T>>,
+    z: Option<BlockVectors<T>>,
+    p: Option<BlockVectors<T>>,
+    ap: Option<BlockVectors<T>>,
+    node_major: Vec<T>,
+    precond: BlockPrecondScratch<T>,
+}
+
+/// Reusable scratch for [`solve_laplacian_block`] and
+/// [`solve_laplacian_block_mixed`]. Reused across blocks so a sketch build
+/// allocates once per worker, not once per block; the f32 slots stay empty
+/// in f64 mode.
 #[derive(Debug, Default)]
 pub struct BlockCgWorkspace {
-    r: Option<BlockVectors>,
-    z: Option<BlockVectors>,
-    p: Option<BlockVectors>,
-    ap: Option<BlockVectors>,
     x: Option<BlockVectors>,
-    node_major: Vec<f64>,
-    precond: PrecondScratch,
-    bprecond: BlockPrecondScratch,
-    // f32 slots for the mixed-precision inner solver; empty in f64 mode.
-    r32: Option<BlockVectorsF32>,
-    ir32: Option<BlockVectorsF32>,
-    z32: Option<BlockVectorsF32>,
-    p32: Option<BlockVectorsF32>,
-    ap32: Option<BlockVectorsF32>,
-    e32: Option<BlockVectorsF32>,
-    node_major32: Vec<f32>,
+    cg64: LockstepScratch<f64>,
+    cg32: LockstepScratch<f32>,
+    rhs32: Option<BlockVectors<f32>>,
+    e32: Option<BlockVectors<f32>>,
 }
 
 impl BlockCgWorkspace {
@@ -98,20 +121,6 @@ impl BlockCgWorkspace {
     pub fn recycle_solutions(&mut self, solutions: BlockVectors) {
         self.x = Some(solutions);
     }
-
-    fn take(slot: &mut Option<BlockVectors>, n: usize, b: usize) -> BlockVectors {
-        match slot.take() {
-            Some(block) if block.len() == n && block.block_size() == b => block,
-            _ => BlockVectors::zeros(n, b),
-        }
-    }
-
-    fn take32(slot: &mut Option<BlockVectorsF32>, n: usize, b: usize) -> BlockVectorsF32 {
-        match slot.take() {
-            Some(block) if block.len() == n && block.block_size() == b => block,
-            _ => BlockVectorsF32::zeros(n, b),
-        }
-    }
 }
 
 /// Apply the preconditioner to a residual block. Chebyshev goes blockwise
@@ -119,92 +128,83 @@ impl BlockCgWorkspace {
 /// whole point of the polynomial rung; frozen columns get a harmless
 /// recompute that is never read), everything else per masked column. Both
 /// paths are bitwise identical per column to the scalar application.
-fn precondition_block(
+fn precondition_block<T: Scalar>(
     op: &LaplacianOp<'_>,
     precond: Preconditioner,
-    r: &BlockVectors,
-    z: &mut BlockVectors,
+    r: &BlockVectors<T>,
+    z: &mut BlockVectors<T>,
     mask: &[bool],
-    scalar_scratch: &mut PrecondScratch,
-    block_scratch: &mut BlockPrecondScratch,
+    scratch: &mut BlockPrecondScratch<T>,
 ) {
     match precond {
-        Preconditioner::Chebyshev(cfg) => chebyshev_apply_block(op, cfg, r, z, block_scratch),
-        _ => {
+        Preconditioner::Chebyshev(cfg) => chebyshev_apply_block(op, cfg, r, z, scratch),
+        other => {
             for (j, &on) in mask.iter().enumerate() {
                 if on {
-                    apply_preconditioner(
-                        op,
-                        precond,
-                        r.column(j),
-                        z.column_mut(j),
-                        scalar_scratch,
-                    );
+                    apply_column_preconditioner(op, other, r.column(j), z.column_mut(j));
                 }
             }
         }
     }
 }
 
-/// Solve `L X = B` column-by-column-in-lockstep for a connected graph's
-/// Laplacian, each column projected onto `1⊥` exactly as
-/// [`crate::cg::solve_laplacian`] does.
-///
-/// Never fails hard: stalled or broken-down columns are returned as
-/// `converged == false` with their best iterate, and callers escalate
-/// those columns individually (the sketch uses the recovery ladder).
-pub fn solve_laplacian_block(
+/// Per-column telemetry of one [`lockstep_cg`] run.
+struct LockstepStats {
+    /// Iterations each column performed.
+    iterations: Vec<usize>,
+    /// Last relative residual per column: `1.0` for a started column that
+    /// never reached the check, `0.0` for a column that never started.
+    rel: Vec<f64>,
+    /// Norm of each column's projected right-hand side; `0.0` for a
+    /// column outside the mask or projecting to zero.
+    b_norm: Vec<f64>,
+}
+
+/// The masked lockstep CG loop: solves `L x_j = rhs_j` from `x_j = 0` for
+/// every column with `mask[j]`, each column projected onto `1⊥` exactly as
+/// [`crate::cg::solve_laplacian`] does, until it meets `opts.tolerance`,
+/// breaks down, or the loop reaches `opts.max_iterations` (`None` =
+/// `10 * n + 100`). Columns outside the mask are left at zero.
+fn lockstep_cg<T: Scalar>(
     op: &LaplacianOp<'_>,
-    rhs: &BlockVectors,
+    rhs: &BlockVectors<T>,
+    x: &mut BlockVectors<T>,
     opts: CgOptions,
-    ws: &mut BlockCgWorkspace,
-) -> BlockCgOutcome {
+    mask: &[bool],
+    s: &mut LockstepScratch<T>,
+) -> LockstepStats {
     let n = op.order();
-    assert_eq!(rhs.len(), n, "block cg: rhs dimension mismatch");
     let b = rhs.block_size();
-    // A recycled solutions block may carry stale iterates; CG starts from
-    // x = 0, so zero it unconditionally (fresh blocks are already zero and
-    // the refill is a single linear pass).
-    let mut x = BlockCgWorkspace::take(&mut ws.x, n, b);
-    x.as_mut_slice().fill(0.0);
+    // A recycled block may carry stale iterates; CG starts from x = 0.
+    x.as_mut_slice().fill(T::ZERO);
+    let mut r = BlockVectors::reuse(&mut s.r, n, b);
+    let mut z = BlockVectors::reuse(&mut s.z, n, b);
+    let mut p = BlockVectors::reuse(&mut s.p, n, b);
+    let mut ap = BlockVectors::reuse(&mut s.ap, n, b);
+
+    // Per-column init, replicating the scalar preamble: project b, freeze
+    // a column whose norm is zero (converged from the start), else seed
+    // r/z/p and the rz product.
     let mut iterations = vec![0usize; b];
     let mut rel = vec![0.0f64; b];
-    let mut converged = vec![true; b];
-    if n == 0 {
-        return BlockCgOutcome { solutions: x, iterations, relative_residual: rel, converged };
-    }
-
-    let mut r = BlockCgWorkspace::take(&mut ws.r, n, b);
-    let mut z = BlockCgWorkspace::take(&mut ws.z, n, b);
-    let mut p = BlockCgWorkspace::take(&mut ws.p, n, b);
-    let mut ap = BlockCgWorkspace::take(&mut ws.ap, n, b);
-
-    // Per-column init, replicating the scalar preamble: project b, bail
-    // out converged on a zero norm, else seed r/z/p and the rz product.
-    let mut active = vec![false; b];
+    let mut active = mask.to_vec();
     let mut b_norm = vec![0.0f64; b];
     let mut rz = vec![0.0f64; b];
     for j in 0..b {
+        if !active[j] {
+            continue;
+        }
         let rj = r.column_mut(j);
         rj.copy_from_slice(rhs.column(j));
         vector::project_out_ones(rj);
         b_norm[j] = vector::norm2(rj);
         if b_norm[j] == 0.0 {
-            continue; // converged at zero, frozen from the start
+            active[j] = false;
+            continue;
         }
-        active[j] = true;
-        converged[j] = false;
         rel[j] = 1.0;
     }
-    precondition_block(
-        op,
-        opts.preconditioner,
-        &r,
-        &mut z,
-        &active,
-        &mut ws.precond,
-        &mut ws.bprecond,
-    );
+    precondition_block(op, opts.preconditioner, &r, &mut z, &active, &mut s.precond);
     for j in 0..b {
         if !active[j] {
             continue;
@@ -216,21 +216,21 @@ pub fn solve_laplacian_block(
     // Node-major mirror of `p` for the SpMM gather: transposed once here,
     // then kept current by the fused xpby below. Frozen columns go stale
     // in `p` and the mirror together, so mirror == p at every apply.
-    p.transpose_into(&mut ws.node_major);
+    p.transpose_into(&mut s.node_major);
 
     let max_iter = opts.max_iterations.unwrap_or(10 * n + 100);
-    let mut alpha = vec![0.0f64; b];
-    let mut neg_alpha = vec![0.0f64; b];
+    let mut alpha = vec![T::ZERO; b];
+    let mut neg_alpha = vec![T::ZERO; b];
+    let mut beta = vec![T::ZERO; b];
     let mut p_ap = vec![0.0f64; b];
     let mut r_dot = vec![0.0f64; b];
-    let mut beta = vec![0.0f64; b];
     let mut global_iter = 0usize;
     while global_iter < max_iter && active.iter().any(|&a| a) {
         global_iter += 1;
         // One adjacency sweep serves every column, gathering straight
         // from the node-major mirror (frozen columns get a harmless
         // recompute; their state is simply never read again).
-        op.apply_node_major(&ws.node_major, &mut ap);
+        op.apply_node_major(&s.node_major, &mut ap);
         block_dot(&p, &ap, &mut p_ap, &active);
         // `step` = columns that take this iteration's x/r update; a
         // breakdown column freezes *before* the update, like the scalar
@@ -246,10 +246,10 @@ pub fn solve_laplacian_block(
                 active[j] = false;
                 continue;
             }
-            alpha[j] = rz[j] / p_ap[j];
+            alpha[j] = T::from_f64(rz[j] / p_ap[j]);
             neg_alpha[j] = -alpha[j];
         }
-        block_axpy(&alpha, &p, &mut x, &step);
+        block_axpy(&alpha, &p, x, &step);
         block_axpy(&neg_alpha, &ap, &mut r, &step);
         if global_iter % 64 == 0 {
             // All stepping columns share the same private iteration count,
@@ -275,70 +275,61 @@ pub fn solve_laplacian_block(
                 active[j] = false;
             }
         }
-        precondition_block(
-            op,
-            opts.preconditioner,
-            &r,
-            &mut z,
-            &step,
-            &mut ws.precond,
-            &mut ws.bprecond,
-        );
+        precondition_block(op, opts.preconditioner, &r, &mut z, &step, &mut s.precond);
         block_dot(&r, &z, &mut r_dot, &step);
         for j in 0..b {
             if step[j] {
-                beta[j] = r_dot[j] / rz[j];
+                beta[j] = T::from_f64(r_dot[j] / rz[j]);
                 rz[j] = r_dot[j];
             }
         }
-        block_xpby_mirror(&z, &beta, &mut p, &step, &mut ws.node_major);
+        block_xpby_mirror(&z, &beta, &mut p, &step, &mut s.node_major);
     }
 
-    for j in 0..b {
-        vector::project_out_ones(x.column_mut(j));
-        if b_norm[j] != 0.0 {
-            converged[j] = rel[j] <= opts.tolerance;
+    for (j, &on) in mask.iter().enumerate() {
+        if on {
+            vector::project_out_ones(x.column_mut(j));
         }
     }
-
-    ws.r = Some(r);
-    ws.z = Some(z);
-    ws.p = Some(p);
-    ws.ap = Some(ap);
-    BlockCgOutcome { solutions: x, iterations, relative_residual: rel, converged }
+    s.r = Some(r);
+    s.z = Some(z);
+    s.p = Some(p);
+    s.ap = Some(ap);
+    LockstepStats { iterations, rel, b_norm }
 }
 
-/// Knobs of the mixed-precision refinement loop
-/// ([`solve_laplacian_block_mixed`]).
-#[derive(Debug, Clone, Copy)]
-pub struct MixedOptions {
-    /// Relative-residual target of each f32 correction solve. f32 bottoms
-    /// out around `1e-6`; `1e-4` leaves headroom while still contracting
-    /// the outer residual by ~4 digits per round, so an `1e-8` outer
-    /// tolerance needs two rounds.
-    pub inner_tolerance: f64,
-    /// Iteration cap of each f32 correction solve. `None` means
-    /// `10 * n + 100` (the scalar CG convention).
-    pub inner_max_iterations: Option<usize>,
-    /// Cap on refinement rounds (correction solves per column). Generous:
-    /// healthy columns need 2–3; a column still unconverged here is frozen
-    /// for the caller's f64 recovery ladder.
-    pub max_rounds: usize,
-    /// A round must shrink a column's relative residual below
-    /// `progress_factor` times the previous one, or the column is frozen
-    /// as stalled (f32 has hit its accuracy floor for that column) and
-    /// left to the f64 ladder.
-    pub progress_factor: f64,
-}
-
-impl Default for MixedOptions {
-    fn default() -> Self {
-        MixedOptions {
-            inner_tolerance: 1e-4,
-            inner_max_iterations: None,
-            max_rounds: 40,
-            progress_factor: 0.9,
-        }
+/// Solve `L X = B` column-by-column-in-lockstep for a connected graph's
+/// Laplacian, each column projected onto `1⊥` exactly as
+/// [`crate::cg::solve_laplacian`] does.
+///
+/// Never fails hard: stalled or broken-down columns are returned as
+/// `converged == false` with their best iterate, and callers escalate
+/// those columns individually (the sketch uses the recovery ladder).
+pub fn solve_laplacian_block(
+    op: &LaplacianOp<'_>,
+    rhs: &BlockVectors,
+    opts: CgOptions,
+    ws: &mut BlockCgWorkspace,
+) -> BlockCgOutcome {
+    let n = op.order();
+    assert_eq!(rhs.len(), n, "block cg: rhs dimension mismatch");
+    let b = rhs.block_size();
+    let mut x = BlockVectors::reuse(&mut ws.x, n, b);
+    if n == 0 {
+        return BlockCgOutcome {
+            solutions: x,
+            iterations: vec![0; b],
+            relative_residual: vec![0.0; b],
+            converged: vec![true; b],
+        };
+    }
+    let stats = lockstep_cg(op, rhs, &mut x, opts, &vec![true; b], &mut ws.cg64);
+    let converged = (0..b).map(|j| stats.b_norm[j] == 0.0 || stats.rel[j] <= opts.tolerance);
+    BlockCgOutcome {
+        solutions: x,
+        iterations: stats.iterations,
+        converged: converged.collect(),
+        relative_residual: stats.rel,
     }
 }
 
@@ -350,12 +341,14 @@ impl Default for MixedOptions {
 /// f64 SpMM), freezes columns that converged, stalled, or went non-finite,
 /// scales each surviving column's residual to unit norm (so the f32 solve
 /// always works on well-ranged data regardless of how small the residual
-/// has become), runs one f32 lockstep block-CG correction solve — half the
+/// has become), runs the lockstep loop in f32 as one correction solve to
+/// a relative residual of `1e-4` within `opts.max_iterations` — half the
 /// memory traffic and twice the SIMD width of the f64 sweeps, which is
 /// what un-spills L2 on the large tier — and applies the correction in
-/// f64. Non-converged columns are reported per column so the caller can
-/// promote exactly those right-hand sides to the full-f64 recovery ladder;
-/// no recovery logic lives here.
+/// f64. At most 40 rounds run, and a column whose residual shrinks by
+/// less than a factor 0.9 in a round stops. Non-converged columns are
+/// reported per column so the caller can promote exactly those right-hand
+/// sides to the full-f64 recovery ladder; no recovery logic lives here.
 ///
 /// **Determinism.** The inner solver is per-column masked lockstep and the
 /// outer rounds advance each column independently, so a column's float
@@ -367,13 +360,12 @@ pub fn solve_laplacian_block_mixed(
     op: &LaplacianOp<'_>,
     rhs: &BlockVectors,
     opts: CgOptions,
-    mixed: MixedOptions,
     ws: &mut BlockCgWorkspace,
 ) -> BlockCgOutcome {
     let n = op.order();
     assert_eq!(rhs.len(), n, "mixed block cg: rhs dimension mismatch");
     let b = rhs.block_size();
-    let mut x = BlockCgWorkspace::take(&mut ws.x, n, b);
+    let mut x = BlockVectors::reuse(&mut ws.x, n, b);
     x.as_mut_slice().fill(0.0);
     let mut iterations = vec![0usize; b];
     let mut rel = vec![0.0f64; b];
@@ -382,12 +374,12 @@ pub fn solve_laplacian_block_mixed(
         return BlockCgOutcome { solutions: x, iterations, relative_residual: rel, converged };
     }
 
-    // Outer-loop f64 blocks reuse the f64 CG slots (the two solvers never
-    // run interleaved on one workspace): r = residual, z = projected rhs,
-    // ap = L x.
-    let mut resid = BlockCgWorkspace::take(&mut ws.r, n, b);
-    let mut bp = BlockCgWorkspace::take(&mut ws.z, n, b);
-    let mut lx = BlockCgWorkspace::take(&mut ws.ap, n, b);
+    // Outer-loop f64 blocks reuse the f64 lockstep slots (the two solvers
+    // never run interleaved on one workspace): r = residual, z = projected
+    // rhs, ap = L x.
+    let mut resid = BlockVectors::reuse(&mut ws.cg64.r, n, b);
+    let mut bp = BlockVectors::reuse(&mut ws.cg64.z, n, b);
+    let mut lx = BlockVectors::reuse(&mut ws.cg64.ap, n, b);
 
     let mut active = vec![false; b];
     let mut b_norm = vec![0.0f64; b];
@@ -405,11 +397,12 @@ pub fn solve_laplacian_block_mixed(
         rel[j] = 1.0;
     }
 
+    let inner_opts = CgOptions { tolerance: MIXED_INNER_TOLERANCE, ..opts };
     let mut r_norm = vec![0.0f64; b];
-    for round in 0..=mixed.max_rounds {
+    for round in 0..=MIXED_MAX_ROUNDS {
         // True f64 residual: R = B − L X (X of frozen columns recomputed
         // harmlessly; their entries are never read).
-        op.apply_block(&x, &mut lx, &mut ws.node_major);
+        op.apply_block(&x, &mut lx, &mut ws.cg64.node_major);
         let mut any = false;
         for j in 0..b {
             if !active[j] {
@@ -433,7 +426,7 @@ pub fn solve_laplacian_block_mixed(
                 active[j] = false;
                 continue;
             }
-            if rel[j] >= prev_rel[j] * mixed.progress_factor {
+            if rel[j] >= prev_rel[j] * MIXED_PROGRESS_FACTOR {
                 // f32 hit its floor for this column without reaching the
                 // target: stalled, hand it to the f64 ladder.
                 active[j] = false;
@@ -442,11 +435,11 @@ pub fn solve_laplacian_block_mixed(
             prev_rel[j] = rel[j];
             any = true;
         }
-        if !any || round == mixed.max_rounds {
+        if !any || round == MIXED_MAX_ROUNDS {
             break;
         }
         // Scale each active residual to unit norm and round to f32.
-        let mut r32 = BlockCgWorkspace::take32(&mut ws.r32, n, b);
+        let mut r32 = BlockVectors::reuse(&mut ws.rhs32, n, b);
         for j in 0..b {
             if !active[j] {
                 continue;
@@ -457,10 +450,11 @@ pub fn solve_laplacian_block_mixed(
                 sj[i] = (rj[i] * inv) as f32;
             }
         }
-        let mut e32 = BlockCgWorkspace::take32(&mut ws.e32, n, b);
-        inner_f32_block_cg(op, &r32, &mut e32, opts, mixed, &active, &mut iterations, ws);
+        let mut e32 = BlockVectors::reuse(&mut ws.e32, n, b);
+        let inner = lockstep_cg(op, &r32, &mut e32, inner_opts, &active, &mut ws.cg32);
         // X += ‖r_j‖ · e_j in f64.
         for j in 0..b {
+            iterations[j] += inner.iterations[j];
             if !active[j] {
                 continue;
             }
@@ -470,7 +464,7 @@ pub fn solve_laplacian_block_mixed(
                 xj[i] += scale * ej[i] as f64;
             }
         }
-        ws.r32 = Some(r32);
+        ws.rhs32 = Some(r32);
         ws.e32 = Some(e32);
     }
 
@@ -478,215 +472,10 @@ pub fn solve_laplacian_block_mixed(
         vector::project_out_ones(x.column_mut(j));
     }
 
-    ws.r = Some(resid);
-    ws.z = Some(bp);
-    ws.ap = Some(lx);
+    ws.cg64.r = Some(resid);
+    ws.cg64.z = Some(bp);
+    ws.cg64.ap = Some(lx);
     BlockCgOutcome { solutions: x, iterations, relative_residual: rel, converged }
-}
-
-/// f32 per-column preconditioner application for the inner solver
-/// (Chebyshev is handled blockwise by the caller).
-fn apply_preconditioner_f32(
-    op: &LaplacianOp<'_>,
-    precond: Preconditioner,
-    r: &[f32],
-    z: &mut [f32],
-) {
-    match precond {
-        Preconditioner::Identity => z.copy_from_slice(r),
-        Preconditioner::Jacobi => {
-            for (i, zi) in z.iter_mut().enumerate() {
-                let d = op.diagonal(i) as f32;
-                *zi = if d > 0.0 { r[i] / d } else { r[i] };
-            }
-        }
-        Preconditioner::SymmetricGaussSeidel => {
-            let g = op.graph();
-            let n = g.node_count();
-            for i in 0..n {
-                let d = op.diagonal(i) as f32;
-                if d <= 0.0 {
-                    z[i] = r[i];
-                    continue;
-                }
-                let mut acc = r[i];
-                for &j in g.neighbors(i) {
-                    if j < i {
-                        acc += z[j];
-                    } else {
-                        break;
-                    }
-                }
-                z[i] = acc / d;
-            }
-            for (i, zi) in z.iter_mut().enumerate() {
-                let d = op.diagonal(i) as f32;
-                if d > 0.0 {
-                    *zi *= d;
-                }
-            }
-            for i in (0..n).rev() {
-                let d = op.diagonal(i) as f32;
-                if d <= 0.0 {
-                    continue;
-                }
-                let mut acc = z[i];
-                for &j in g.neighbors(i).iter().rev() {
-                    if j > i {
-                        acc += z[j];
-                    } else {
-                        break;
-                    }
-                }
-                z[i] = acc / d;
-            }
-        }
-        Preconditioner::Chebyshev(_) => unreachable!("chebyshev is applied blockwise"),
-    }
-}
-
-fn precondition_block_f32(
-    op: &LaplacianOp<'_>,
-    precond: Preconditioner,
-    r: &BlockVectorsF32,
-    z: &mut BlockVectorsF32,
-    mask: &[bool],
-    block_scratch: &mut BlockPrecondScratch,
-) {
-    match precond {
-        Preconditioner::Chebyshev(cfg) => {
-            chebyshev_apply_block_f32(op, cfg, r, z, block_scratch)
-        }
-        _ => {
-            for (j, &on) in mask.iter().enumerate() {
-                if on {
-                    apply_preconditioner_f32(op, precond, r.column(j), z.column_mut(j));
-                }
-            }
-        }
-    }
-}
-
-/// One f32 lockstep block-CG correction solve for the refinement loop:
-/// solves `L e_j = r_j` for every column with `mask[j]`, writing solutions
-/// into `e` and adding per-column iteration counts into `iterations`.
-/// Structure mirrors [`solve_laplacian_block`] exactly — masked lockstep,
-/// per-column scalars (promoted to f64 for the reductions), breakdown and
-/// poison freezes, `% 64` re-projection — so each column's float sequence
-/// depends only on its own data.
-#[allow(clippy::too_many_arguments)]
-fn inner_f32_block_cg(
-    op: &LaplacianOp<'_>,
-    rhs: &BlockVectorsF32,
-    e: &mut BlockVectorsF32,
-    opts: CgOptions,
-    mixed: MixedOptions,
-    mask: &[bool],
-    iterations: &mut [usize],
-    ws: &mut BlockCgWorkspace,
-) {
-    let n = op.order();
-    let b = rhs.block_size();
-    e.as_mut_slice().fill(0.0);
-    let mut r = BlockCgWorkspace::take32(&mut ws.ir32, n, b);
-    let mut z = BlockCgWorkspace::take32(&mut ws.z32, n, b);
-    let mut p = BlockCgWorkspace::take32(&mut ws.p32, n, b);
-    let mut ap = BlockCgWorkspace::take32(&mut ws.ap32, n, b);
-
-    let mut active = mask.to_vec();
-    let mut b_norm = vec![0.0f64; b];
-    let mut rz = vec![0.0f64; b];
-    for j in 0..b {
-        if !active[j] {
-            continue;
-        }
-        let rj = r.column_mut(j);
-        rj.copy_from_slice(rhs.column(j));
-        vector::project_out_ones_f32(rj);
-        b_norm[j] = vector::norm2_f32(rj);
-        if b_norm[j] == 0.0 {
-            active[j] = false;
-        }
-    }
-    precondition_block_f32(op, opts.preconditioner, &r, &mut z, &active, &mut ws.bprecond);
-    for j in 0..b {
-        if !active[j] {
-            continue;
-        }
-        vector::project_out_ones_f32(z.column_mut(j));
-        p.column_mut(j).copy_from_slice(z.column(j));
-        rz[j] = vector::dot_f32(r.column(j), z.column(j));
-    }
-    p.transpose_into(&mut ws.node_major32);
-
-    let max_iter = mixed.inner_max_iterations.unwrap_or(10 * n + 100);
-    let mut alpha = vec![0.0f32; b];
-    let mut neg_alpha = vec![0.0f32; b];
-    let mut p_ap = vec![0.0f64; b];
-    let mut r_dot = vec![0.0f64; b];
-    let mut beta = vec![0.0f32; b];
-    let mut global_iter = 0usize;
-    while global_iter < max_iter && active.iter().any(|&a| a) {
-        global_iter += 1;
-        op.apply_node_major_f32(&ws.node_major32, &mut ap);
-        block_dot_f32(&p, &ap, &mut p_ap, &active);
-        let mut step = active.clone();
-        for j in 0..b {
-            if !step[j] {
-                continue;
-            }
-            iterations[j] += 1;
-            if p_ap[j] <= 0.0 || !p_ap[j].is_finite() {
-                step[j] = false;
-                active[j] = false;
-                continue;
-            }
-            let a = rz[j] / p_ap[j];
-            alpha[j] = a as f32;
-            neg_alpha[j] = -alpha[j];
-        }
-        block_axpy_f32(&alpha, &p, e, &step);
-        block_axpy_f32(&neg_alpha, &ap, &mut r, &step);
-        if global_iter % 64 == 0 {
-            for (j, &stepping) in step.iter().enumerate() {
-                if stepping {
-                    vector::project_out_ones_f32(r.column_mut(j));
-                    vector::project_out_ones_f32(e.column_mut(j));
-                }
-            }
-        }
-        block_dot_f32(&r, &r, &mut r_dot, &step);
-        for j in 0..b {
-            if !step[j] {
-                continue;
-            }
-            let rel = r_dot[j].sqrt() / b_norm[j];
-            if !rel.is_finite() || rel <= mixed.inner_tolerance {
-                step[j] = false;
-                active[j] = false;
-            }
-        }
-        precondition_block_f32(op, opts.preconditioner, &r, &mut z, &step, &mut ws.bprecond);
-        block_dot_f32(&r, &z, &mut r_dot, &step);
-        for j in 0..b {
-            if step[j] {
-                beta[j] = (r_dot[j] / rz[j]) as f32;
-                rz[j] = r_dot[j];
-            }
-        }
-        block_xpby_mirror_f32(&z, &beta, &mut p, &step, &mut ws.node_major32);
-    }
-
-    for (j, &on) in mask.iter().enumerate() {
-        if on {
-            vector::project_out_ones_f32(e.column_mut(j));
-        }
-    }
-
-    ws.ir32 = Some(r);
-    ws.z32 = Some(z);
-    ws.p32 = Some(p);
-    ws.ap32 = Some(ap);
 }
 
 #[cfg(test)]
@@ -861,13 +650,7 @@ mod tests {
         let rhs_rows = projected_incidence_rows(&g, 5, 17);
         let rhs = BlockVectors::from_columns(&rhs_rows);
         let opts = CgOptions::default();
-        let out = solve_laplacian_block_mixed(
-            &op,
-            &rhs,
-            opts,
-            MixedOptions::default(),
-            &mut BlockCgWorkspace::new(),
-        );
+        let out = solve_laplacian_block_mixed(&op, &rhs, opts, &mut BlockCgWorkspace::new());
         for (j, rhs_col) in rhs_rows.iter().enumerate() {
             assert!(out.converged[j], "column {j}: rel {}", out.relative_residual[j]);
             assert!(out.relative_residual[j] <= opts.tolerance);
@@ -888,13 +671,7 @@ mod tests {
             Preconditioner::Chebyshev(ChebyshevConfig::default()),
         );
         let opts = CgOptions { preconditioner: cheby, ..CgOptions::default() };
-        let out = solve_laplacian_block_mixed(
-            &op,
-            &rhs,
-            opts,
-            MixedOptions::default(),
-            &mut BlockCgWorkspace::new(),
-        );
+        let out = solve_laplacian_block_mixed(&op, &rhs, opts, &mut BlockCgWorkspace::new());
         assert!(out.converged.iter().all(|&c| c), "{:?}", out.relative_residual);
         let r = out.solutions.column(0)[0] - out.solutions.column(0)[299];
         let scalar = solve_laplacian_simple(&op, rhs.column(0), opts);
@@ -917,7 +694,6 @@ mod tests {
             &op,
             &rhs,
             CgOptions::default(),
-            MixedOptions::default(),
             &mut BlockCgWorkspace::new(),
         );
         assert_eq!(out.iterations[0], 0);
@@ -936,13 +712,11 @@ mod tests {
         let op = LaplacianOp::new(&g);
         let rhs_rows = projected_incidence_rows(&g, 8, 23);
         let opts = CgOptions::default();
-        let mixed = MixedOptions::default();
         // Width 8: all columns at once.
         let full = solve_laplacian_block_mixed(
             &op,
             &BlockVectors::from_columns(&rhs_rows),
             opts,
-            mixed,
             &mut BlockCgWorkspace::new(),
         );
         // Width 1 and width 4 slicings.
@@ -953,7 +727,6 @@ mod tests {
                     &op,
                     &BlockVectors::from_columns(rows),
                     opts,
-                    mixed,
                     &mut ws,
                 );
                 for (j, _) in rows.iter().enumerate() {
@@ -975,15 +748,12 @@ mod tests {
         let g = line(150);
         let op = LaplacianOp::new(&g);
         let rhs = block_of_pairs(150, &[(0, 149)]);
+        // Two CG iterations per correction solve: the refinement stalls
+        // long before the f64 tolerance.
         let out = solve_laplacian_block_mixed(
             &op,
             &rhs,
-            CgOptions::default(),
-            MixedOptions {
-                inner_max_iterations: Some(2),
-                max_rounds: 3,
-                ..MixedOptions::default()
-            },
+            CgOptions { max_iterations: Some(2), ..CgOptions::default() },
             &mut BlockCgWorkspace::new(),
         );
         assert!(!out.converged[0]);

@@ -12,7 +12,9 @@
 //! exactly what hurts plain CG.
 
 use crate::laplacian::LaplacianOp;
-use crate::precond::{chebyshev_apply, ChebyshevConfig, PrecondScratch};
+use crate::precond::{
+    apply_column_preconditioner, chebyshev_apply, ChebyshevConfig, PrecondScratch,
+};
 use crate::vector;
 
 /// Preconditioners for CG: `z = M⁻¹ r`.
@@ -36,11 +38,11 @@ pub enum Preconditioner {
     Chebyshev(ChebyshevConfig),
 }
 
-/// Apply `z = M⁻¹ r` for the chosen preconditioner of a Laplacian.
-/// Shared with the multi-RHS block solver ([`crate::block_cg`]), which
-/// applies it per column so blocked and scalar solves stay bitwise equal.
-/// Only Chebyshev touches `scratch`; the other arms are allocation-free.
-pub(crate) fn apply_preconditioner(
+/// Apply `z = M⁻¹ r` for the chosen preconditioner of a Laplacian: the
+/// scalar Chebyshev apply, or the per-column body the block solvers share
+/// ([`apply_column_preconditioner`]). Only Chebyshev touches `scratch`;
+/// the other arms are allocation-free.
+fn apply_preconditioner(
     op: &LaplacianOp<'_>,
     precond: Preconditioner,
     r: &[f64],
@@ -48,58 +50,8 @@ pub(crate) fn apply_preconditioner(
     scratch: &mut PrecondScratch,
 ) {
     match precond {
-        Preconditioner::Identity => z.copy_from_slice(r),
-        Preconditioner::Jacobi => {
-            for (i, zi) in z.iter_mut().enumerate() {
-                let d = op.diagonal(i);
-                *zi = if d > 0.0 { r[i] / d } else { r[i] };
-            }
-        }
-        Preconditioner::SymmetricGaussSeidel => {
-            let g = op.graph();
-            let n = g.node_count();
-            // Forward sweep: (D + L₋) y = r, with L entries −1 for edges.
-            for i in 0..n {
-                let d = op.diagonal(i);
-                if d <= 0.0 {
-                    z[i] = r[i];
-                    continue;
-                }
-                let mut acc = r[i];
-                for &j in g.neighbors(i) {
-                    if j < i {
-                        acc += z[j];
-                    } else {
-                        break; // neighbor lists are sorted ascending
-                    }
-                }
-                z[i] = acc / d;
-            }
-            // Diagonal scale: y <- D y.
-            for (i, zi) in z.iter_mut().enumerate() {
-                let d = op.diagonal(i);
-                if d > 0.0 {
-                    *zi *= d;
-                }
-            }
-            // Backward sweep: (D + L₊) z = y.
-            for i in (0..n).rev() {
-                let d = op.diagonal(i);
-                if d <= 0.0 {
-                    continue;
-                }
-                let mut acc = z[i];
-                for &j in g.neighbors(i).iter().rev() {
-                    if j > i {
-                        acc += z[j];
-                    } else {
-                        break;
-                    }
-                }
-                z[i] = acc / d;
-            }
-        }
         Preconditioner::Chebyshev(cfg) => chebyshev_apply(op, cfg, r, z, scratch),
+        other => apply_column_preconditioner(op, other, r, z),
     }
 }
 

@@ -1,11 +1,18 @@
 //! Graph Laplacian representations: matrix-free operator, CSR, dense, and
 //! the dense pseudoinverse `L† = (L + J/n)⁻¹ − J/n` (paper, §III-B).
+//!
+//! The operator's blocked SpMM is one const-width sweep and one
+//! dynamic-width sweep, each generic over the block's element type
+//! ([`Scalar`]) and over the adjacency it walks (the graph's `usize` CSR
+//! or a [`CompactAdjacency`]'s `u32` mirror), monomorphized for every
+//! combination in use.
 
 use reecc_graph::Graph;
 
-use crate::block::{BlockVectors, BlockVectorsF32};
+use crate::block::BlockVectors;
 use crate::dense::DenseMatrix;
 use crate::sparse::CsrMatrix;
+use crate::vector::Scalar;
 use crate::LinalgError;
 
 /// Width-compact (`u32`) mirror of a graph's CSR adjacency for blocked
@@ -148,13 +155,19 @@ impl<'g> LaplacianOp<'g> {
     /// `b` accumulator chains are independent, which also unlocks
     /// instruction-level parallelism the single-accumulator scalar sweep
     /// cannot reach. Per column, additions happen in exactly the order of
-    /// [`Self::apply`], so each output column is bitwise identical to a
-    /// scalar apply of that column.
+    /// [`Self::apply`], so each output column of an `f64` block is bitwise
+    /// identical to a scalar apply of that column; an `f32` block runs the
+    /// same sequence in `f32`.
     ///
     /// # Panics
     ///
     /// Panics on dimension mismatch.
-    pub fn apply_block(&self, x: &BlockVectors, y: &mut BlockVectors, scratch: &mut Vec<f64>) {
+    pub fn apply_block<T: Scalar>(
+        &self,
+        x: &BlockVectors<T>,
+        y: &mut BlockVectors<T>,
+        scratch: &mut Vec<T>,
+    ) {
         let n = self.graph.node_count();
         assert_eq!(x.len(), n, "laplacian apply_block: input dimension");
         assert_eq!(y.len(), n, "laplacian apply_block: output dimension");
@@ -174,7 +187,7 @@ impl<'g> LaplacianOp<'g> {
     /// # Panics
     ///
     /// Panics on dimension mismatch.
-    pub fn apply_node_major(&self, xt: &[f64], y: &mut BlockVectors) {
+    pub fn apply_node_major<T: Scalar>(&self, xt: &[T], y: &mut BlockVectors<T>) {
         let n = self.graph.node_count();
         assert_eq!(y.len(), n, "laplacian apply_node_major: output dimension");
         let b = y.block_size();
@@ -182,298 +195,123 @@ impl<'g> LaplacianOp<'g> {
         self.apply_interleaved_into(xt, y.as_mut_slice(), b, n);
     }
 
-    /// Sweep core shared by [`Self::apply_block`]: `xt` is node-major
-    /// (`xt[v*b + j]`), output written column-major into `yd`. The width
-    /// is monomorphized for the common block sizes so the per-neighbor
-    /// lane loop unrolls into SIMD instead of a dynamic-trip-count loop.
-    fn apply_interleaved_into(&self, xt: &[f64], yd: &mut [f64], b: usize, n: usize) {
-        // Every width a sketch block can take is monomorphized: `d` is
-        // rarely a multiple of the block size, so the tail block lands on
-        // an odd width — leaving those to the dynamic-trip-count sweep
-        // costs 2-3× on the tail (measured on the large-tier bench).
+    /// Sweep core shared by [`Self::apply_block`] and
+    /// [`Self::apply_node_major`]: `xt` is node-major (`xt[v*b + j]`),
+    /// output written column-major into `yd`, walking the compact mirror
+    /// when one is attached.
+    fn apply_interleaved_into<T: Scalar>(&self, xt: &[T], yd: &mut [T], b: usize, n: usize) {
         match self.compact {
-            Some(adj) => match b {
-                1 => Self::sweep_const_compact::<1>(adj, xt, yd, n),
-                2 => Self::sweep_const_compact::<2>(adj, xt, yd, n),
-                3 => Self::sweep_const_compact::<3>(adj, xt, yd, n),
-                4 => Self::sweep_const_compact::<4>(adj, xt, yd, n),
-                5 => Self::sweep_const_compact::<5>(adj, xt, yd, n),
-                6 => Self::sweep_const_compact::<6>(adj, xt, yd, n),
-                7 => Self::sweep_const_compact::<7>(adj, xt, yd, n),
-                8 => Self::sweep_const_compact::<8>(adj, xt, yd, n),
-                16 => Self::sweep_const_compact::<16>(adj, xt, yd, n),
-                _ => Self::sweep_dyn_compact(adj, xt, yd, b, n),
-            },
-            None => match b {
-                1 => self.sweep_const::<1>(xt, yd, n),
-                2 => self.sweep_const::<2>(xt, yd, n),
-                3 => self.sweep_const::<3>(xt, yd, n),
-                4 => self.sweep_const::<4>(xt, yd, n),
-                5 => self.sweep_const::<5>(xt, yd, n),
-                6 => self.sweep_const::<6>(xt, yd, n),
-                7 => self.sweep_const::<7>(xt, yd, n),
-                8 => self.sweep_const::<8>(xt, yd, n),
-                16 => self.sweep_const::<16>(xt, yd, n),
-                _ => self.sweep_dyn(xt, yd, b, n),
-            },
+            Some(adj) => sweep(adj, xt, yd, b, n),
+            None => sweep(self.graph, xt, yd, b, n),
         }
     }
+}
 
-    /// Compact-mirror twin of [`Self::sweep_const`]: same accumulation
-    /// order per column (degree term first, then neighbors in CSR order),
-    /// only the index loads shrink from 8 to 4 bytes.
-    fn sweep_const_compact<const B: usize>(
-        adj: &CompactAdjacency,
-        xt: &[f64],
-        yd: &mut [f64],
-        n: usize,
-    ) {
-        for u in 0..n {
-            let (start, end) = (adj.offsets[u] as usize, adj.offsets[u + 1] as usize);
-            let deg = (end - start) as f64;
-            let xu: &[f64; B] = xt[u * B..(u + 1) * B].try_into().expect("width B");
-            let mut acc = [0.0f64; B];
+/// A CSR adjacency the blocked sweeps can walk: the graph's own `usize`
+/// lists or a [`CompactAdjacency`]'s `u32` mirror. Only the index loads
+/// differ; neighbor order is the graph's in both.
+trait Adjacency {
+    /// Stored neighbor index.
+    type Index: Copy;
+    /// Node `u`'s neighbors, in the graph's order.
+    fn row(&self, u: usize) -> &[Self::Index];
+    /// A stored index as a node id.
+    fn node(v: Self::Index) -> usize;
+}
+
+impl Adjacency for Graph {
+    type Index = usize;
+    #[inline]
+    fn row(&self, u: usize) -> &[usize] {
+        self.neighbors(u)
+    }
+    #[inline]
+    fn node(v: usize) -> usize {
+        v
+    }
+}
+
+impl Adjacency for CompactAdjacency {
+    type Index = u32;
+    #[inline]
+    fn row(&self, u: usize) -> &[u32] {
+        &self.neighbors[self.offsets[u] as usize..self.offsets[u + 1] as usize]
+    }
+    #[inline]
+    fn node(v: u32) -> usize {
+        v as usize
+    }
+}
+
+/// One SpMM sweep `yd = L xt` at width `b`. Every width a sketch block can
+/// take is monomorphized: `d` is rarely a multiple of the block size, so
+/// the tail block lands on an odd width — leaving those to the
+/// dynamic-trip-count sweep costs 2-3× on the tail (measured on the
+/// large-tier bench).
+fn sweep<T: Scalar, A: Adjacency>(adj: &A, xt: &[T], yd: &mut [T], b: usize, n: usize) {
+    match b {
+        1 => sweep_const::<T, A, 1>(adj, xt, yd, n),
+        2 => sweep_const::<T, A, 2>(adj, xt, yd, n),
+        3 => sweep_const::<T, A, 3>(adj, xt, yd, n),
+        4 => sweep_const::<T, A, 4>(adj, xt, yd, n),
+        5 => sweep_const::<T, A, 5>(adj, xt, yd, n),
+        6 => sweep_const::<T, A, 6>(adj, xt, yd, n),
+        7 => sweep_const::<T, A, 7>(adj, xt, yd, n),
+        8 => sweep_const::<T, A, 8>(adj, xt, yd, n),
+        16 => sweep_const::<T, A, 16>(adj, xt, yd, n),
+        _ => sweep_dyn(adj, xt, yd, b, n),
+    }
+}
+
+/// The const-width sweep: per column, the degree term first, then the
+/// neighbors in CSR order — [`LaplacianOp::apply`]'s accumulation order.
+/// The fixed lane count unrolls into SIMD.
+fn sweep_const<T: Scalar, A: Adjacency, const B: usize>(
+    adj: &A,
+    xt: &[T],
+    yd: &mut [T],
+    n: usize,
+) {
+    for u in 0..n {
+        let row = adj.row(u);
+        let deg = T::from_count(row.len());
+        let xu: &[T; B] = xt[u * B..(u + 1) * B].try_into().expect("width B");
+        let mut acc = [T::ZERO; B];
+        for j in 0..B {
+            acc[j] = deg * xu[j];
+        }
+        for &v in row {
+            let v = A::node(v);
+            let xv: &[T; B] = xt[v * B..(v + 1) * B].try_into().expect("width B");
             for j in 0..B {
-                acc[j] = deg * xu[j];
-            }
-            for &v in &adj.neighbors[start..end] {
-                let v = v as usize;
-                let xv: &[f64; B] = xt[v * B..(v + 1) * B].try_into().expect("width B");
-                for j in 0..B {
-                    acc[j] -= xv[j];
-                }
-            }
-            for j in 0..B {
-                yd[j * n + u] = acc[j];
+                acc[j] -= xv[j];
             }
         }
-    }
-
-    fn sweep_dyn_compact(
-        adj: &CompactAdjacency,
-        xt: &[f64],
-        yd: &mut [f64],
-        b: usize,
-        n: usize,
-    ) {
-        let mut acc = vec![0.0f64; b];
-        for u in 0..n {
-            let (start, end) = (adj.offsets[u] as usize, adj.offsets[u + 1] as usize);
-            let deg = (end - start) as f64;
-            let xu = &xt[u * b..(u + 1) * b];
-            for (a, &xj) in acc.iter_mut().zip(xu) {
-                *a = deg * xj;
-            }
-            for &v in &adj.neighbors[start..end] {
-                let xv = &xt[v as usize * b..(v as usize + 1) * b];
-                for (a, &xj) in acc.iter_mut().zip(xv) {
-                    *a -= xj;
-                }
-            }
-            for (j, &a) in acc.iter().enumerate() {
-                yd[j * n + u] = a;
-            }
+        for j in 0..B {
+            yd[j * n + u] = acc[j];
         }
     }
+}
 
-    fn sweep_const<const B: usize>(&self, xt: &[f64], yd: &mut [f64], n: usize) {
-        for u in 0..n {
-            let deg = self.graph.degree(u) as f64;
-            let xu: &[f64; B] = xt[u * B..(u + 1) * B].try_into().expect("width B");
-            let mut acc = [0.0f64; B];
-            for j in 0..B {
-                acc[j] = deg * xu[j];
-            }
-            for &v in self.graph.neighbors(u) {
-                let xv: &[f64; B] = xt[v * B..(v + 1) * B].try_into().expect("width B");
-                for j in 0..B {
-                    acc[j] -= xv[j];
-                }
-            }
-            for j in 0..B {
-                yd[j * n + u] = acc[j];
+/// [`sweep_const`] with a run-time width, for widths it does not cover.
+fn sweep_dyn<T: Scalar, A: Adjacency>(adj: &A, xt: &[T], yd: &mut [T], b: usize, n: usize) {
+    let mut acc = vec![T::ZERO; b];
+    for u in 0..n {
+        let row = adj.row(u);
+        let deg = T::from_count(row.len());
+        let xu = &xt[u * b..(u + 1) * b];
+        for (a, &xj) in acc.iter_mut().zip(xu) {
+            *a = deg * xj;
+        }
+        for &v in row {
+            let v = A::node(v);
+            let xv = &xt[v * b..(v + 1) * b];
+            for (a, &xj) in acc.iter_mut().zip(xv) {
+                *a -= xj;
             }
         }
-    }
-
-    fn sweep_dyn(&self, xt: &[f64], yd: &mut [f64], b: usize, n: usize) {
-        let mut acc = vec![0.0f64; b];
-        for u in 0..n {
-            let deg = self.graph.degree(u) as f64;
-            let xu = &xt[u * b..(u + 1) * b];
-            for (a, &xj) in acc.iter_mut().zip(xu) {
-                *a = deg * xj;
-            }
-            for &v in self.graph.neighbors(u) {
-                let xv = &xt[v * b..(v + 1) * b];
-                for (a, &xj) in acc.iter_mut().zip(xv) {
-                    *a -= xj;
-                }
-            }
-            for (j, &a) in acc.iter().enumerate() {
-                yd[j * n + u] = a;
-            }
-        }
-    }
-
-    /// f32 SpMM with a transpose: `Y = L X` for an f32 block. Mirrors
-    /// [`Self::apply_block`]; used by the mixed-precision inner solver's
-    /// Chebyshev application, where the direction block is column-major.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch.
-    pub fn apply_block_f32(
-        &self,
-        x: &BlockVectorsF32,
-        y: &mut BlockVectorsF32,
-        scratch: &mut Vec<f32>,
-    ) {
-        let n = self.graph.node_count();
-        assert_eq!(x.len(), n, "laplacian apply_block_f32: input dimension");
-        assert_eq!(y.len(), n, "laplacian apply_block_f32: output dimension");
-        let b = x.block_size();
-        assert_eq!(y.block_size(), b, "laplacian apply_block_f32: block width");
-        x.transpose_into(scratch);
-        self.apply_interleaved_into_f32(scratch, y.as_mut_slice(), b, n);
-    }
-
-    /// f32 counterpart of [`Self::apply_node_major`]: the node-major gather
-    /// buffer holds f32 lanes, halving the bytes the sweep pulls per matrix
-    /// entry — the traffic cut that un-spills L2 on the large tier — and
-    /// doubling the SIMD width of the lane loop.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch.
-    pub fn apply_node_major_f32(&self, xt: &[f32], y: &mut BlockVectorsF32) {
-        let n = self.graph.node_count();
-        assert_eq!(y.len(), n, "laplacian apply_node_major_f32: output dimension");
-        let b = y.block_size();
-        assert_eq!(xt.len(), n * b, "laplacian apply_node_major_f32: input size");
-        self.apply_interleaved_into_f32(xt, y.as_mut_slice(), b, n);
-    }
-
-    fn apply_interleaved_into_f32(&self, xt: &[f32], yd: &mut [f32], b: usize, n: usize) {
-        match self.compact {
-            Some(adj) => match b {
-                1 => Self::sweep_const_f32_compact::<1>(adj, xt, yd, n),
-                2 => Self::sweep_const_f32_compact::<2>(adj, xt, yd, n),
-                3 => Self::sweep_const_f32_compact::<3>(adj, xt, yd, n),
-                4 => Self::sweep_const_f32_compact::<4>(adj, xt, yd, n),
-                5 => Self::sweep_const_f32_compact::<5>(adj, xt, yd, n),
-                6 => Self::sweep_const_f32_compact::<6>(adj, xt, yd, n),
-                7 => Self::sweep_const_f32_compact::<7>(adj, xt, yd, n),
-                8 => Self::sweep_const_f32_compact::<8>(adj, xt, yd, n),
-                16 => Self::sweep_const_f32_compact::<16>(adj, xt, yd, n),
-                _ => Self::sweep_dyn_f32_compact(adj, xt, yd, b, n),
-            },
-            None => match b {
-                1 => self.sweep_const_f32::<1>(xt, yd, n),
-                2 => self.sweep_const_f32::<2>(xt, yd, n),
-                3 => self.sweep_const_f32::<3>(xt, yd, n),
-                4 => self.sweep_const_f32::<4>(xt, yd, n),
-                5 => self.sweep_const_f32::<5>(xt, yd, n),
-                6 => self.sweep_const_f32::<6>(xt, yd, n),
-                7 => self.sweep_const_f32::<7>(xt, yd, n),
-                8 => self.sweep_const_f32::<8>(xt, yd, n),
-                16 => self.sweep_const_f32::<16>(xt, yd, n),
-                _ => self.sweep_dyn_f32(xt, yd, b, n),
-            },
-        }
-    }
-
-    fn sweep_const_f32_compact<const B: usize>(
-        adj: &CompactAdjacency,
-        xt: &[f32],
-        yd: &mut [f32],
-        n: usize,
-    ) {
-        for u in 0..n {
-            let (start, end) = (adj.offsets[u] as usize, adj.offsets[u + 1] as usize);
-            let deg = (end - start) as f32;
-            let xu: &[f32; B] = xt[u * B..(u + 1) * B].try_into().expect("width B");
-            let mut acc = [0.0f32; B];
-            for j in 0..B {
-                acc[j] = deg * xu[j];
-            }
-            for &v in &adj.neighbors[start..end] {
-                let v = v as usize;
-                let xv: &[f32; B] = xt[v * B..(v + 1) * B].try_into().expect("width B");
-                for j in 0..B {
-                    acc[j] -= xv[j];
-                }
-            }
-            for j in 0..B {
-                yd[j * n + u] = acc[j];
-            }
-        }
-    }
-
-    fn sweep_dyn_f32_compact(
-        adj: &CompactAdjacency,
-        xt: &[f32],
-        yd: &mut [f32],
-        b: usize,
-        n: usize,
-    ) {
-        let mut acc = vec![0.0f32; b];
-        for u in 0..n {
-            let (start, end) = (adj.offsets[u] as usize, adj.offsets[u + 1] as usize);
-            let deg = (end - start) as f32;
-            let xu = &xt[u * b..(u + 1) * b];
-            for (a, &xj) in acc.iter_mut().zip(xu) {
-                *a = deg * xj;
-            }
-            for &v in &adj.neighbors[start..end] {
-                let xv = &xt[v as usize * b..(v as usize + 1) * b];
-                for (a, &xj) in acc.iter_mut().zip(xv) {
-                    *a -= xj;
-                }
-            }
-            for (j, &a) in acc.iter().enumerate() {
-                yd[j * n + u] = a;
-            }
-        }
-    }
-
-    fn sweep_const_f32<const B: usize>(&self, xt: &[f32], yd: &mut [f32], n: usize) {
-        for u in 0..n {
-            let deg = self.graph.degree(u) as f32;
-            let xu: &[f32; B] = xt[u * B..(u + 1) * B].try_into().expect("width B");
-            let mut acc = [0.0f32; B];
-            for j in 0..B {
-                acc[j] = deg * xu[j];
-            }
-            for &v in self.graph.neighbors(u) {
-                let xv: &[f32; B] = xt[v * B..(v + 1) * B].try_into().expect("width B");
-                for j in 0..B {
-                    acc[j] -= xv[j];
-                }
-            }
-            for j in 0..B {
-                yd[j * n + u] = acc[j];
-            }
-        }
-    }
-
-    fn sweep_dyn_f32(&self, xt: &[f32], yd: &mut [f32], b: usize, n: usize) {
-        let mut acc = vec![0.0f32; b];
-        for u in 0..n {
-            let deg = self.graph.degree(u) as f32;
-            let xu = &xt[u * b..(u + 1) * b];
-            for (a, &xj) in acc.iter_mut().zip(xu) {
-                *a = deg * xj;
-            }
-            for &v in self.graph.neighbors(u) {
-                let xv = &xt[v * b..(v + 1) * b];
-                for (a, &xj) in acc.iter_mut().zip(xv) {
-                    *a -= xj;
-                }
-            }
-            for (j, &a) in acc.iter().enumerate() {
-                yd[j * n + u] = a;
-            }
+        for (j, &a) in acc.iter().enumerate() {
+            yd[j * n + u] = a;
         }
     }
 }
@@ -615,10 +453,10 @@ mod tests {
             compact.apply_node_major(&xt, &mut y_compact);
             assert_eq!(y_plain.as_slice(), y_compact.as_slice(), "f64 width {b}");
             let xt32: Vec<f32> = xt.iter().map(|&v| v as f32).collect();
-            let mut y32_plain = BlockVectorsF32::zeros(n, b);
-            let mut y32_compact = BlockVectorsF32::zeros(n, b);
-            plain.apply_node_major_f32(&xt32, &mut y32_plain);
-            compact.apply_node_major_f32(&xt32, &mut y32_compact);
+            let mut y32_plain = BlockVectors::<f32>::zeros(n, b);
+            let mut y32_compact = BlockVectors::<f32>::zeros(n, b);
+            plain.apply_node_major(&xt32, &mut y32_plain);
+            compact.apply_node_major(&xt32, &mut y32_compact);
             assert_eq!(y32_plain.as_slice(), y32_compact.as_slice(), "f32 width {b}");
         }
     }

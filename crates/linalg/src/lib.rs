@@ -25,7 +25,13 @@
 //! `apply_block` on both operators, and a lockstep blocked CG whose
 //! per-column arithmetic is bitwise identical to [`cg::solve_laplacian`]
 //! — the sketch build solves its JL rows in blocks through this path.
-//! See DESIGN.md §9 for the kernel-layer design.
+//! Each kernel of that stack (block type, block and vector kernels, SpMM
+//! sweeps, Chebyshev and per-column preconditioner applies, the lockstep
+//! loop) has one body, generic over the storage precision
+//! ([`vector::Scalar`]: `f64`, or `f32` for the mixed-precision inner
+//! solve) and, for the sweeps, over the adjacency index (the graph's
+//! `usize` lists or [`CompactAdjacency`]'s `u32` mirror). See DESIGN.md §9
+//! and §14.
 //!
 //! [`recovery`] wraps the CG solver in a fault-tolerant escalation ladder
 //! (Chebyshev polynomial rung → stronger smoothing preconditioner →
@@ -33,11 +39,12 @@
 //! recording every attempt in a [`SolveReport`] so downstream layers can
 //! degrade gracefully instead of silently returning garbage.
 //!
-//! [`precond`] is the preconditioning + precision layer beneath the block
-//! kernels: a matrix-free scaled-Chebyshev polynomial preconditioner
-//! (blockwise, riding the fused SpMM lanes) and the substrate for the
-//! mixed-precision f32-with-f64-refinement solve
-//! ([`block_cg::solve_laplacian_block_mixed`]). See DESIGN.md §14.
+//! [`precond`] is the preconditioning layer beneath the block kernels: a
+//! matrix-free scaled-Chebyshev polynomial preconditioner (blockwise,
+//! riding the fused SpMM lanes) and the Identity/Jacobi/SGS column apply
+//! shared by the scalar and block solvers. The mixed-precision solve
+//! ([`block_cg::solve_laplacian_block_mixed`]) runs the lockstep loop in
+//! `f32` under an `f64` iterative refinement. See DESIGN.md §14.
 
 pub mod block;
 pub mod block_cg;
@@ -51,12 +58,9 @@ pub mod recovery;
 pub mod sparse;
 pub mod vector;
 
-pub use block::{
-    block_axpy, block_dot, block_xpby, block_xpby_mirror, BlockVectors, BlockVectorsF32,
-};
+pub use block::{block_axpy, block_dot, block_xpby, block_xpby_mirror, BlockVectors};
 pub use block_cg::{
     solve_laplacian_block, solve_laplacian_block_mixed, BlockCgOutcome, BlockCgWorkspace,
-    MixedOptions,
 };
 pub use cg::{CgOptions, CgOutcome, Preconditioner};
 pub use dense::DenseMatrix;

@@ -24,23 +24,24 @@
 //!   variant rides the existing fused [`LaplacianOp::apply_block`] SpMM
 //!   lanes so the extra sweeps amortize over all `b` right-hand sides.
 //!
-//! **Determinism.** All three variants (scalar f64, blockwise f64,
-//! blockwise f32) perform per-column arithmetic in exactly the scalar
-//! order: `apply_block` is bitwise identical to per-column `apply`, and
-//! every other operation is elementwise. Blocked-vs-scalar CG solves
+//! **Determinism.** The scalar apply and the block apply (one body for
+//! `f64` and `f32` blocks) perform per-column arithmetic in exactly the
+//! scalar order: `apply_block` is bitwise identical to per-column `apply`,
+//! and every other operation is elementwise. Blocked-vs-scalar CG solves
 //! therefore stay bitwise identical with Chebyshev exactly as they do with
-//! Jacobi.
+//! Jacobi. The Identity/Jacobi/SGS applies live here too, one body per
+//! column for the scalar solver and both block precisions.
 //!
 //! The eigenvalue interval `[λ_max/λ_ratio, λ_max]` is tuned once per
 //! graph by [`resolve_preconditioner`] (a short, deterministic power
 //! iteration on `Â`); unresolved configs fall back to the universal bound
 //! `λ_max = 2`, trading a few extra CG iterations for never being wrong.
 
-use crate::block::{BlockVectors, BlockVectorsF32};
+use crate::block::BlockVectors;
 use crate::cg::Preconditioner;
 use crate::eigen::random_unit_perp_ones;
 use crate::laplacian::LaplacianOp;
-use crate::vector;
+use crate::vector::{self, Scalar};
 
 /// Default Chebyshev step count used when a config asks for auto-tuning
 /// (`degree == 0`). Chosen against the large-tier kernel benchmark: each
@@ -141,13 +142,12 @@ impl Eq for ChebyshevConfig {}
 /// sound by construction: if the degree sequence matches, the scale
 /// vector is correct no matter which graph object the scratch last saw.
 #[derive(Debug, Default)]
-struct ScaleCache {
+struct ScaleCache<T> {
     degrees: Vec<usize>,
-    inv_sqrt: Vec<f64>,
-    inv_sqrt32: Vec<f32>,
+    inv_sqrt: Vec<T>,
 }
 
-impl ScaleCache {
+impl<T: Scalar> ScaleCache<T> {
     fn ensure(&mut self, op: &LaplacianOp<'_>) {
         let n = op.order();
         let g = op.graph();
@@ -156,9 +156,7 @@ impl ScaleCache {
             self.degrees.clear();
             self.degrees.extend((0..n).map(|i| g.degree(i)));
             self.inv_sqrt.clear();
-            self.inv_sqrt.extend((0..n).map(|i| inv_sqrt_degree(op, i)));
-            self.inv_sqrt32.clear();
-            self.inv_sqrt32.extend(self.inv_sqrt.iter().map(|&v| v as f32));
+            self.inv_sqrt.extend((0..n).map(|i| T::from_f64(inv_sqrt_degree(op, i))));
         }
     }
 }
@@ -174,7 +172,7 @@ pub struct PrecondScratch {
     dir: Vec<f64>,
     tmp_in: Vec<f64>,
     tmp_out: Vec<f64>,
-    scale: ScaleCache,
+    scale: ScaleCache<f64>,
 }
 
 impl PrecondScratch {
@@ -192,46 +190,26 @@ impl PrecondScratch {
 }
 
 /// Blockwise counterpart of [`PrecondScratch`]: four `n×b` blocks plus the
-/// SpMM transpose scratch, in both precisions (the unused precision's
-/// slots stay empty).
+/// SpMM transpose scratch, in the precision of the blocks it serves.
 #[derive(Debug, Default)]
-pub struct BlockPrecondScratch {
-    res: Option<BlockVectors>,
-    dir: Option<BlockVectors>,
-    tmp_in: Option<BlockVectors>,
-    tmp_out: Option<BlockVectors>,
-    spmm: Vec<f64>,
-    res32: Option<BlockVectorsF32>,
-    dir32: Option<BlockVectorsF32>,
-    tmp_in32: Option<BlockVectorsF32>,
-    tmp_out32: Option<BlockVectorsF32>,
-    spmm32: Vec<f32>,
-    scale: ScaleCache,
+pub struct BlockPrecondScratch<T = f64> {
+    res: Option<BlockVectors<T>>,
+    dir: Option<BlockVectors<T>>,
+    tmp_in: Option<BlockVectors<T>>,
+    tmp_out: Option<BlockVectors<T>>,
+    spmm: Vec<T>,
+    scale: ScaleCache<T>,
 }
 
-impl BlockPrecondScratch {
+impl<T: Default> BlockPrecondScratch<T> {
     /// Create an empty scratch (blocks are sized on first use).
     pub fn new() -> Self {
         Self::default()
     }
-
-    fn take(slot: &mut Option<BlockVectors>, n: usize, b: usize) -> BlockVectors {
-        match slot.take() {
-            Some(block) if block.len() == n && block.block_size() == b => block,
-            _ => BlockVectors::zeros(n, b),
-        }
-    }
-
-    fn take32(slot: &mut Option<BlockVectorsF32>, n: usize, b: usize) -> BlockVectorsF32 {
-        match slot.take() {
-            Some(block) if block.len() == n && block.block_size() == b => block,
-            _ => BlockVectorsF32::zeros(n, b),
-        }
-    }
 }
 
-/// The Chebyshev iteration coefficients, shared by all three variants so
-/// their per-column float sequences agree by construction.
+/// The Chebyshev iteration coefficients, shared by the scalar and the
+/// block apply so their per-column float sequences agree by construction.
 struct ChebyshevPlan {
     steps: u32,
     inv_theta: f64,
@@ -312,22 +290,25 @@ pub(crate) fn chebyshev_apply(
     }
 }
 
-/// Blockwise f64 `Z = M⁻¹ R`: one fused SpMM per Chebyshev step serves all
-/// `b` columns. Per column this is bitwise identical to
+/// Blockwise `Z = M⁻¹ R`: one fused SpMM per Chebyshev step serves all
+/// `b` columns. Per column of an `f64` block this is bitwise identical to
 /// [`chebyshev_apply`] — `apply_block` matches per-column `apply`, and all
-/// other passes are elementwise. Every column is computed (the block-CG
-/// caller never reads frozen columns' output, so a harmless recompute
-/// beats per-column masking inside the fused sweep).
+/// other passes are elementwise. An `f32` block (the mixed-precision inner
+/// solve) runs the same recurrence in `f32`, its coefficients computed in
+/// `f64` and rounded once, so every column's float sequence depends only
+/// on its own data — the width-independence anchor. Every column is
+/// computed (the block-CG caller never reads frozen columns' output, so a
+/// harmless recompute beats per-column masking inside the fused sweep).
 ///
 /// # Panics
 ///
 /// Panics on dimension mismatch.
-pub(crate) fn chebyshev_apply_block(
+pub(crate) fn chebyshev_apply_block<T: Scalar>(
     op: &LaplacianOp<'_>,
     cfg: ChebyshevConfig,
-    r: &BlockVectors,
-    z: &mut BlockVectors,
-    scratch: &mut BlockPrecondScratch,
+    r: &BlockVectors<T>,
+    z: &mut BlockVectors<T>,
+    scratch: &mut BlockPrecondScratch<T>,
 ) {
     let n = op.order();
     let b = r.block_size();
@@ -335,18 +316,19 @@ pub(crate) fn chebyshev_apply_block(
     assert_eq!(z.len(), n, "chebyshev block: output dimension");
     assert_eq!(z.block_size(), b, "chebyshev block: width mismatch");
     let plan = ChebyshevPlan::new(cfg);
+    let inv_theta = T::from_f64(plan.inv_theta);
     scratch.scale.ensure(op);
     let scale = &scratch.scale.inv_sqrt;
-    let mut res = BlockPrecondScratch::take(&mut scratch.res, n, b);
-    let mut dir = BlockPrecondScratch::take(&mut scratch.dir, n, b);
-    let mut tmp_in = BlockPrecondScratch::take(&mut scratch.tmp_in, n, b);
-    let mut tmp_out = BlockPrecondScratch::take(&mut scratch.tmp_out, n, b);
+    let mut res = BlockVectors::reuse(&mut scratch.res, n, b);
+    let mut dir = BlockVectors::reuse(&mut scratch.dir, n, b);
+    let mut tmp_in = BlockVectors::reuse(&mut scratch.tmp_in, n, b);
+    let mut tmp_out = BlockVectors::reuse(&mut scratch.tmp_out, n, b);
     for j in 0..b {
         let rj = r.column(j);
         let (resj, dirj, zj) = (res.column_mut(j), dir.column_mut(j), z.column_mut(j));
         for i in 0..n {
             resj[i] = rj[i] * scale[i];
-            dirj[i] = resj[i] * plan.inv_theta;
+            dirj[i] = resj[i] * inv_theta;
             zj[i] = dirj[i];
         }
     }
@@ -361,8 +343,8 @@ pub(crate) fn chebyshev_apply_block(
         }
         op.apply_block(&tmp_in, &mut tmp_out, &mut scratch.spmm);
         let rho_new = 1.0 / (2.0 * plan.sigma - rho);
-        let dir_coeff = rho_new * rho;
-        let res_coeff = 2.0 * rho_new / plan.delta;
+        let dir_coeff = T::from_f64(rho_new * rho);
+        let res_coeff = T::from_f64(2.0 * rho_new / plan.delta);
         for j in 0..b {
             let tj = tmp_out.column(j);
             let (resj, dirj, zj) = (res.column_mut(j), dir.column_mut(j), z.column_mut(j));
@@ -386,77 +368,73 @@ pub(crate) fn chebyshev_apply_block(
     scratch.tmp_out = Some(tmp_out);
 }
 
-/// Blockwise f32 variant for the mixed-precision inner solver: identical
-/// recurrence, storage and elementwise arithmetic in f32 (coefficients are
-/// computed in f64 once and rounded, so every column's float sequence
-/// depends only on its own data — the width-independence anchor).
-///
-/// # Panics
-///
-/// Panics on dimension mismatch.
-pub(crate) fn chebyshev_apply_block_f32(
+/// `z = M⁻¹ r` for one column under the Identity, Jacobi or symmetric
+/// Gauss–Seidel preconditioner, in either precision. The scalar solver
+/// and every column of the block solvers run this one body, so blocked
+/// and scalar solves stay bitwise equal; the degree is rounded to `T`
+/// once per use. Chebyshev has its own applies ([`chebyshev_apply`],
+/// [`chebyshev_apply_block`]).
+pub(crate) fn apply_column_preconditioner<T: Scalar>(
     op: &LaplacianOp<'_>,
-    cfg: ChebyshevConfig,
-    r: &BlockVectorsF32,
-    z: &mut BlockVectorsF32,
-    scratch: &mut BlockPrecondScratch,
+    precond: Preconditioner,
+    r: &[T],
+    z: &mut [T],
 ) {
-    let n = op.order();
-    let b = r.block_size();
-    assert_eq!(r.len(), n, "chebyshev block f32: input dimension");
-    assert_eq!(z.len(), n, "chebyshev block f32: output dimension");
-    assert_eq!(z.block_size(), b, "chebyshev block f32: width mismatch");
-    let plan = ChebyshevPlan::new(cfg);
-    let inv_theta = plan.inv_theta as f32;
-    scratch.scale.ensure(op);
-    let scale = &scratch.scale.inv_sqrt32;
-    let mut res = BlockPrecondScratch::take32(&mut scratch.res32, n, b);
-    let mut dir = BlockPrecondScratch::take32(&mut scratch.dir32, n, b);
-    let mut tmp_in = BlockPrecondScratch::take32(&mut scratch.tmp_in32, n, b);
-    let mut tmp_out = BlockPrecondScratch::take32(&mut scratch.tmp_out32, n, b);
-    for j in 0..b {
-        let rj = r.column(j);
-        let (resj, dirj, zj) = (res.column_mut(j), dir.column_mut(j), z.column_mut(j));
-        for i in 0..n {
-            resj[i] = rj[i] * scale[i];
-            dirj[i] = resj[i] * inv_theta;
-            zj[i] = dirj[i];
-        }
-    }
-    let mut rho = 1.0 / plan.sigma;
-    for _ in 1..plan.steps {
-        for j in 0..b {
-            let dirj = dir.column(j);
-            let tj = tmp_in.column_mut(j);
-            for i in 0..n {
-                tj[i] = dirj[i] * scale[i];
+    let diag = |i: usize| T::from_f64(op.diagonal(i));
+    match precond {
+        Preconditioner::Identity => z.copy_from_slice(r),
+        Preconditioner::Jacobi => {
+            for (i, zi) in z.iter_mut().enumerate() {
+                let d = diag(i);
+                *zi = if d > T::ZERO { r[i] / d } else { r[i] };
             }
         }
-        op.apply_block_f32(&tmp_in, &mut tmp_out, &mut scratch.spmm32);
-        let rho_new = 1.0 / (2.0 * plan.sigma - rho);
-        let dir_coeff = (rho_new * rho) as f32;
-        let res_coeff = (2.0 * rho_new / plan.delta) as f32;
-        for j in 0..b {
-            let tj = tmp_out.column(j);
-            let (resj, dirj, zj) = (res.column_mut(j), dir.column_mut(j), z.column_mut(j));
+        Preconditioner::SymmetricGaussSeidel => {
+            let g = op.graph();
+            let n = g.node_count();
+            // Forward sweep: (D + L₋) y = r, with L entries −1 for edges.
             for i in 0..n {
-                resj[i] -= tj[i] * scale[i];
-                dirj[i] = dir_coeff * dirj[i] + res_coeff * resj[i];
-                zj[i] += dirj[i];
+                let d = diag(i);
+                if d <= T::ZERO {
+                    z[i] = r[i];
+                    continue;
+                }
+                let mut acc = r[i];
+                for &j in g.neighbors(i) {
+                    if j < i {
+                        acc += z[j];
+                    } else {
+                        break; // neighbor lists are sorted ascending
+                    }
+                }
+                z[i] = acc / d;
+            }
+            // Diagonal scale: y <- D y.
+            for (i, zi) in z.iter_mut().enumerate() {
+                let d = diag(i);
+                if d > T::ZERO {
+                    *zi *= d;
+                }
+            }
+            // Backward sweep: (D + L₊) z = y.
+            for i in (0..n).rev() {
+                let d = diag(i);
+                if d <= T::ZERO {
+                    continue;
+                }
+                let mut acc = z[i];
+                for &j in g.neighbors(i).iter().rev() {
+                    if j > i {
+                        acc += z[j];
+                    } else {
+                        break;
+                    }
+                }
+                z[i] = acc / d;
             }
         }
-        rho = rho_new;
+        Preconditioner::Chebyshev(_) => unreachable!("Chebyshev has its own applies"),
     }
-    for j in 0..b {
-        let zj = z.column_mut(j);
-        for (i, zi) in zj.iter_mut().enumerate() {
-            *zi *= scale[i];
-        }
-    }
-    scratch.res32 = Some(res);
-    scratch.dir32 = Some(dir);
-    scratch.tmp_in32 = Some(tmp_in);
-    scratch.tmp_out32 = Some(tmp_out);
 }
 
 /// Deterministic `λ_max(Â)` estimate for the scaled operator: a fixed
@@ -612,16 +590,15 @@ mod tests {
             .collect();
         let r64 = BlockVectors::from_columns(&cols);
         let mut z64 = BlockVectors::zeros(50, 3);
-        let mut scratch = BlockPrecondScratch::new();
-        chebyshev_apply_block(&op, cfg, &r64, &mut z64, &mut scratch);
-        let mut r32 = BlockVectorsF32::zeros(50, 3);
+        chebyshev_apply_block(&op, cfg, &r64, &mut z64, &mut BlockPrecondScratch::new());
+        let mut r32 = BlockVectors::<f32>::zeros(50, 3);
         for (j, col) in cols.iter().enumerate() {
             for (dst, &v) in r32.column_mut(j).iter_mut().zip(col) {
                 *dst = v as f32;
             }
         }
-        let mut z32 = BlockVectorsF32::zeros(50, 3);
-        chebyshev_apply_block_f32(&op, cfg, &r32, &mut z32, &mut scratch);
+        let mut z32 = BlockVectors::<f32>::zeros(50, 3);
+        chebyshev_apply_block(&op, cfg, &r32, &mut z32, &mut BlockPrecondScratch::new());
         for j in 0..3 {
             for i in 0..50 {
                 let d = (z64.column(j)[i] - z32.column(j)[i] as f64).abs();

@@ -1,23 +1,86 @@
 //! Dense vector kernels used throughout the numerical code.
 //!
-//! All functions operate on `&[f64]` slices; panics on length mismatch are
-//! debug-asserted on the hot paths and hard-asserted on the public entry
-//! points that are not performance critical.
+//! The CG kernels ([`dot`], [`norm2`], [`axpy`], [`xpby`],
+//! [`project_out_ones`]) are written once over [`Scalar`] and
+//! monomorphized for `f64` and for the `f32` storage of the
+//! mixed-precision inner solve. Reductions widen every element to `f64`
+//! before they accumulate, so the CG scalars (α, β, residual norms) keep
+//! `f64`-grade conditioning in both precisions, and the summation order
+//! is the same in both. The remaining kernels are `f64` only. Panics on
+//! length mismatch are hard-asserted.
 
-/// Dot product `a · b`.
+use std::fmt::Debug;
+use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
+
+/// The element type of a solver vector: `f64`, or `f32` for the
+/// mixed-precision inner solve.
+///
+/// Coefficients are computed in `f64` and rounded once by
+/// [`Scalar::from_f64`]; reductions widen with [`Scalar::to_f64`]. Both
+/// are the identity for `f64`, so the `f64` instantiation of a kernel is
+/// exactly the plain `f64` arithmetic.
+pub trait Scalar:
+    Copy
+    + Debug
+    + PartialOrd
+    + Send
+    + Sync
+    + Add<Output = Self>
+    + Sub<Output = Self>
+    + Mul<Output = Self>
+    + Div<Output = Self>
+    + Neg<Output = Self>
+    + AddAssign
+    + SubAssign
+    + MulAssign
+{
+    /// `0.0`.
+    const ZERO: Self;
+    /// Round an `f64` to this type (`x as Self`).
+    fn from_f64(x: f64) -> Self;
+    /// Widen to `f64` (exact).
+    fn to_f64(self) -> f64;
+    /// A count, such as a node degree, as this type (`k as Self`).
+    fn from_count(k: usize) -> Self;
+}
+
+macro_rules! impl_scalar {
+    ($t:ty) => {
+        impl Scalar for $t {
+            const ZERO: Self = 0.0;
+            #[inline]
+            fn from_f64(x: f64) -> Self {
+                x as $t
+            }
+            #[inline]
+            fn to_f64(self) -> f64 {
+                self as f64
+            }
+            #[inline]
+            fn from_count(k: usize) -> Self {
+                k as $t
+            }
+        }
+    };
+}
+
+impl_scalar!(f64);
+impl_scalar!(f32);
+
+/// Dot product `a · b`, accumulated in `f64`.
 ///
 /// # Panics
 ///
 /// Panics if lengths differ.
 #[inline]
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
+pub fn dot<T: Scalar>(a: &[T], b: &[T]) -> f64 {
     assert_eq!(a.len(), b.len(), "dot: length mismatch");
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
+    a.iter().zip(b).map(|(&x, &y)| x.to_f64() * y.to_f64()).sum()
 }
 
-/// Euclidean norm `||a||_2`.
+/// Euclidean norm `||a||_2`, accumulated in `f64`.
 #[inline]
-pub fn norm2(a: &[f64]) -> f64 {
+pub fn norm2<T: Scalar>(a: &[T]) -> f64 {
     dot(a, a).sqrt()
 }
 
@@ -75,9 +138,9 @@ pub fn column_norms_sq(xs: &[f64], d: usize, out: &mut [f64]) {
 ///
 /// Panics if lengths differ.
 #[inline]
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
+pub fn axpy<T: Scalar>(alpha: T, x: &[T], y: &mut [T]) {
     assert_eq!(x.len(), y.len(), "axpy: length mismatch");
-    for (yi, xi) in y.iter_mut().zip(x) {
+    for (yi, &xi) in y.iter_mut().zip(x) {
         *yi += alpha * xi;
     }
 }
@@ -88,9 +151,9 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
 ///
 /// Panics if lengths differ.
 #[inline]
-pub fn xpby(x: &[f64], beta: f64, y: &mut [f64]) {
+pub fn xpby<T: Scalar>(x: &[T], beta: T, y: &mut [T]) {
     assert_eq!(x.len(), y.len(), "xpby: length mismatch");
-    for (yi, xi) in y.iter_mut().zip(x) {
+    for (yi, &xi) in y.iter_mut().zip(x) {
         *yi = xi + beta * *yi;
     }
 }
@@ -113,13 +176,17 @@ pub fn mean(a: &[f64]) -> f64 {
     }
 }
 
-/// Subtract the mean from every entry, projecting onto `1⊥`.
+/// Subtract the mean (accumulated in `f64`, rounded once) from every
+/// entry, projecting onto `1⊥`.
 ///
 /// This is how the Laplacian's null space is handled: both right-hand sides
 /// and iterates are kept orthogonal to the all-ones vector.
 #[inline]
-pub fn project_out_ones(a: &mut [f64]) {
-    let m = mean(a);
+pub fn project_out_ones<T: Scalar>(a: &mut [T]) {
+    if a.is_empty() {
+        return;
+    }
+    let m = T::from_f64(a.iter().map(|&x| x.to_f64()).sum::<f64>() / a.len() as f64);
     for x in a.iter_mut() {
         *x -= m;
     }
@@ -140,73 +207,6 @@ pub fn dist_sq(a: &[f64], b: &[f64]) -> f64 {
 #[inline]
 pub fn dist(a: &[f64], b: &[f64]) -> f64 {
     dist_sq(a, b).sqrt()
-}
-
-// ---------------------------------------------------------------------------
-// f32 kernels for the mixed-precision inner solver.
-//
-// Storage and elementwise arithmetic are f32 (half the memory traffic,
-// double the SIMD lanes); reductions promote every product to f64 before
-// accumulating so the CG scalars (α, β, residual norms) keep f64-grade
-// conditioning — the standard mixed-precision recipe. Summation order
-// matches the f64 kernels so each column's float sequence is a pure
-// function of its own data.
-// ---------------------------------------------------------------------------
-
-/// Dot product of two f32 vectors, accumulated in f64.
-///
-/// # Panics
-///
-/// Panics if lengths differ.
-#[inline]
-pub fn dot_f32(a: &[f32], b: &[f32]) -> f64 {
-    assert_eq!(a.len(), b.len(), "dot_f32: length mismatch");
-    a.iter().zip(b).map(|(&x, &y)| x as f64 * y as f64).sum()
-}
-
-/// Euclidean norm of an f32 vector, accumulated in f64.
-#[inline]
-pub fn norm2_f32(a: &[f32]) -> f64 {
-    dot_f32(a, a).sqrt()
-}
-
-/// `y += alpha * x` in f32.
-///
-/// # Panics
-///
-/// Panics if lengths differ.
-#[inline]
-pub fn axpy_f32(alpha: f32, x: &[f32], y: &mut [f32]) {
-    assert_eq!(x.len(), y.len(), "axpy_f32: length mismatch");
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
-    }
-}
-
-/// `y = x + beta * y` in f32.
-///
-/// # Panics
-///
-/// Panics if lengths differ.
-#[inline]
-pub fn xpby_f32(x: &[f32], beta: f32, y: &mut [f32]) {
-    assert_eq!(x.len(), y.len(), "xpby_f32: length mismatch");
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi = xi + beta * *yi;
-    }
-}
-
-/// Subtract the mean (accumulated in f64, applied in f32) from every
-/// entry — the f32 null-space projection.
-#[inline]
-pub fn project_out_ones_f32(a: &mut [f32]) {
-    if a.is_empty() {
-        return;
-    }
-    let m = (a.iter().map(|&x| x as f64).sum::<f64>() / a.len() as f64) as f32;
-    for x in a.iter_mut() {
-        *x -= m;
-    }
 }
 
 #[cfg(test)]
@@ -249,7 +249,7 @@ mod tests {
         }
         let mut empty = [1.0; 3];
         column_norms_sq(&[], 0, &mut empty);
-        assert!(empty.iter().all(|&x| x.to_bits() == dot(&[], &[]).to_bits()));
+        assert!(empty.iter().all(|&x| x.to_bits() == dot::<f64>(&[], &[]).to_bits()));
     }
 
     #[test]

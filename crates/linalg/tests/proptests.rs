@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use reecc_graph::generators::connected_erdos_renyi;
 use reecc_linalg::block::BlockVectors;
 use reecc_linalg::block_cg::{
-    solve_laplacian_block, solve_laplacian_block_mixed, BlockCgWorkspace, MixedOptions,
+    solve_laplacian_block, solve_laplacian_block_mixed, BlockCgWorkspace,
 };
 use reecc_linalg::cg::{solve_laplacian_simple, CgOptions, Preconditioner};
 use reecc_linalg::eigen::{lambda2_estimate, lambda_max_estimate, EigenOptions};
@@ -303,8 +303,7 @@ proptest! {
             (0..4).map(|j| raw[j * n..(j + 1) * n].to_vec()).collect();
         let rhs = BlockVectors::from_columns(&columns);
         let mut ws = BlockCgWorkspace::new();
-        let out =
-            solve_laplacian_block_mixed(&op, &rhs, opts, MixedOptions::default(), &mut ws);
+        let out = solve_laplacian_block_mixed(&op, &rhs, opts, &mut ws);
         let scalar: Vec<_> =
             columns.iter().map(|c| solve_laplacian_simple(&op, c, opts)).collect();
         for j in 0..columns.len() {
@@ -347,7 +346,6 @@ proptest! {
             &op,
             &BlockVectors::from_columns(&columns),
             opts,
-            MixedOptions::default(),
             &mut ws,
         );
         for width in [1usize, 2, 5] {
@@ -358,7 +356,6 @@ proptest! {
                     &op,
                     &rhs,
                     opts,
-                    MixedOptions::default(),
                     &mut ws,
                 );
                 for j in 0..batch.len() {

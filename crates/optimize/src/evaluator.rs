@@ -87,7 +87,9 @@ pub struct CandidateEvaluator {
     /// Worker threads: `0` = auto via [`resolve_threads`].
     pub threads: usize,
     /// Right-hand sides per CG block: `0` = the cache-aware adaptive
-    /// default shared with the sketch build, `1` = scalar solves.
+    /// default shared with the sketch build, anything else the literal
+    /// width. Width `1` still solves through `solve_laplacian_block`, one
+    /// column per block; every width gives the same scores bit for bit.
     pub block_size: usize,
     /// Precision mode of the sketch configuration this evaluator was
     /// derived from. Candidate solves themselves always run in full `f64`

@@ -126,9 +126,13 @@ pub struct SessionStats {
 /// Serve one newline-delimited JSON session: read a request per line from
 /// `reader`, write exactly one response line to `writer`, until EOF.
 ///
-/// Blank lines are skipped; unparseable lines produce a `parse` error
-/// response instead of killing the session, so one bad client line never
-/// costs the stream.
+/// Lines are framed as the TCP reactor frames them. Blank lines are
+/// skipped; a line that is not UTF-8 is decoded lossily, and it and any
+/// other unparseable line produce a `parse` error response instead of
+/// killing the session, so one bad client line never costs the stream. A
+/// line still without its newline past [`ServerConfig::max_line_bytes`]
+/// (the default, 64 KiB) gets one `parse` error and ends the session, so
+/// the buffer stays bounded.
 ///
 /// # Errors
 ///
@@ -136,15 +140,66 @@ pub struct SessionStats {
 /// and engine errors are reported in-band.
 pub fn serve_pipe<R: BufRead, W: Write>(
     pool: &ServePool,
-    reader: R,
+    mut reader: R,
     mut writer: W,
 ) -> io::Result<SessionStats> {
+    let max_line = ServerConfig::default().max_line_bytes;
     let mut stats = SessionStats::default();
-    for line in reader.lines() {
-        let line = line?;
-        respond_line(pool, &line, &mut writer, &mut stats)?;
+    let mut line = Vec::new();
+    loop {
+        let buf = match reader.fill_buf() {
+            Ok(buf) => buf,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if buf.is_empty() {
+            // EOF: a last line without a newline still counts.
+            if !line.is_empty() {
+                respond_bytes(pool, &line, &mut writer, &mut stats)?;
+            }
+            return Ok(stats);
+        }
+        match buf.iter().position(|&b| b == b'\n') {
+            Some(at) => {
+                line.extend_from_slice(&buf[..at]);
+                reader.consume(at + 1);
+                respond_bytes(pool, &line, &mut writer, &mut stats)?;
+                line.clear();
+            }
+            None => {
+                let len = buf.len();
+                line.extend_from_slice(buf);
+                reader.consume(len);
+                if line.len() > max_line {
+                    stats.requests += 1;
+                    stats.errors += 1;
+                    let response = Response::error(
+                        None,
+                        "?",
+                        ErrorKind::Parse,
+                        format!(
+                            "request line exceeds {max_line} bytes without a newline; \
+                             closing session"
+                        ),
+                    );
+                    write_response(&mut writer, &response)?;
+                    return Ok(stats);
+                }
+            }
+        }
     }
-    Ok(stats)
+}
+
+/// [`respond_line`] for a raw pipe line: a trailing `\r` is dropped and
+/// bytes that are not UTF-8 are decoded lossily, so they fail to parse.
+fn respond_bytes<W: Write>(
+    pool: &ServePool,
+    line: &[u8],
+    writer: &mut W,
+    stats: &mut SessionStats,
+) -> io::Result<()> {
+    let line = line.strip_suffix(b"\r").unwrap_or(line);
+    respond_line(pool, &String::from_utf8_lossy(line), writer, stats)
 }
 
 /// Parse-submit-answer one request line (pipe transport).
@@ -1263,6 +1318,37 @@ mod tests {
         assert!(lines[0].contains("\"ok\":true") && lines[0].contains("\"op\":\"ecc\""));
         assert!(lines[1].contains("\"ok\":false") && lines[1].contains("\"error\":\"parse\""));
         assert!(lines[2].contains("\"ok\":true") && lines[2].contains("\"op\":\"res\""));
+    }
+
+    #[test]
+    fn pipe_session_answers_a_non_utf8_line_with_a_parse_error() {
+        let pool = test_pool();
+        let mut input = b"{\"op\":\"ecc\",\"v\":3}\n".to_vec();
+        input.extend_from_slice(b"\xff\xfe\n");
+        input.extend_from_slice(b"{\"op\":\"res\",\"u\":0,\"v\":5}\n");
+        let mut out = Vec::new();
+        let stats = serve_pipe(&pool, &input[..], &mut out).unwrap();
+        assert_eq!(stats, SessionStats { requests: 3, errors: 1 });
+        let text = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 3, "{text}");
+        assert!(lines[0].contains("\"ok\":true") && lines[0].contains("\"op\":\"ecc\""));
+        assert!(lines[1].contains("\"ok\":false") && lines[1].contains("\"error\":\"parse\""));
+        assert!(lines[2].contains("\"ok\":true") && lines[2].contains("\"op\":\"res\""));
+    }
+
+    #[test]
+    fn pipe_session_closes_on_an_overlong_unterminated_line() {
+        let pool = test_pool();
+        let input = vec![b'x'; 100 * 1024];
+        let mut out = Vec::new();
+        let stats = serve_pipe(&pool, BufReader::new(&input[..]), &mut out).unwrap();
+        assert_eq!(stats, SessionStats { requests: 1, errors: 1 });
+        let text = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 1, "{text}");
+        assert!(lines[0].contains("\"error\":\"parse\""), "{}", lines[0]);
+        assert!(lines[0].contains("without a newline"), "{}", lines[0]);
     }
 
     #[test]

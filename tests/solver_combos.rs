@@ -13,7 +13,8 @@ fn graph() -> Graph {
     with_pendant_periphery(&holme_kim(170, 3, 0.6, 211), 30, 3, 212)
 }
 
-const PRECISIONS: [(&str, Precision); 2] = [("f64", Precision::F64), ("mixed", Precision::Mixed)];
+const PRECISIONS: [(&str, Precision); 2] =
+    [("f64", Precision::F64), ("mixed", Precision::Mixed)];
 
 fn preconditioners() -> [(&'static str, Preconditioner); 4] {
     [
