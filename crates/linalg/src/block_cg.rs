@@ -126,8 +126,9 @@ impl BlockCgWorkspace {
 /// Apply the preconditioner to a residual block. Chebyshev goes blockwise
 /// (one fused SpMM sweep per polynomial step serves all columns — the
 /// whole point of the polynomial rung; frozen columns get a harmless
-/// recompute that is never read), everything else per masked column. Both
-/// paths are bitwise identical per column to the scalar application.
+/// recompute that is never read), everything else per masked column. On an
+/// f64 block both paths are bitwise identical per column to the scalar
+/// application.
 fn precondition_block<T: Scalar>(
     op: &LaplacianOp<'_>,
     precond: Preconditioner,

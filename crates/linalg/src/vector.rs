@@ -166,27 +166,24 @@ pub fn scale(a: &mut [f64], alpha: f64) {
     }
 }
 
-/// Mean of the entries.
+/// Mean of the entries, accumulated in `f64`.
 #[inline]
-pub fn mean(a: &[f64]) -> f64 {
+pub fn mean<T: Scalar>(a: &[T]) -> f64 {
     if a.is_empty() {
         0.0
     } else {
-        a.iter().sum::<f64>() / a.len() as f64
+        a.iter().map(|&x| x.to_f64()).sum::<f64>() / a.len() as f64
     }
 }
 
-/// Subtract the mean (accumulated in `f64`, rounded once) from every
-/// entry, projecting onto `1⊥`.
+/// Subtract the mean (rounded once to `T`) from every entry, projecting
+/// onto `1⊥`.
 ///
 /// This is how the Laplacian's null space is handled: both right-hand sides
 /// and iterates are kept orthogonal to the all-ones vector.
 #[inline]
 pub fn project_out_ones<T: Scalar>(a: &mut [T]) {
-    if a.is_empty() {
-        return;
-    }
-    let m = T::from_f64(a.iter().map(|&x| x.to_f64()).sum::<f64>() / a.len() as f64);
+    let m = T::from_f64(mean(a));
     for x in a.iter_mut() {
         *x -= m;
     }
@@ -285,7 +282,7 @@ mod tests {
 
     #[test]
     fn mean_of_empty_is_zero() {
-        assert_eq!(mean(&[]), 0.0);
+        assert_eq!(mean::<f64>(&[]), 0.0);
     }
 
     #[test]
