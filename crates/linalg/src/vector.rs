@@ -1,6 +1,6 @@
 //! Dense vector kernels used throughout the numerical code.
 //!
-//! The CG kernels ([`dot`], [`norm2`], [`axpy`], [`xpby`],
+//! The CG kernels ([`dot`], [`norm2`], [`axpy`], [`xpby`], [`mean`],
 //! [`project_out_ones`]) are written once over [`Scalar`] and
 //! monomorphized for `f64` and for the `f32` storage of the
 //! mixed-precision inner solve. Reductions widen every element to `f64`
@@ -9,7 +9,6 @@
 //! is the same in both. The remaining kernels are `f64` only. Panics on
 //! length mismatch are hard-asserted.
 
-use std::fmt::Debug;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 
 /// The element type of a solver vector: `f64`, or `f32` for the
@@ -21,10 +20,7 @@ use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 /// exactly the plain `f64` arithmetic.
 pub trait Scalar:
     Copy
-    + Debug
     + PartialOrd
-    + Send
-    + Sync
     + Add<Output = Self>
     + Sub<Output = Self>
     + Mul<Output = Self>
