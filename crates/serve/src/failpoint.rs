@@ -210,6 +210,16 @@ pub fn reset() {
     ARMED.fetch_sub(armed, Ordering::SeqCst);
 }
 
+/// Serializes this crate's unit tests that arm a shared site such as
+/// `job.iterate` (the registry is process-global and tests run
+/// concurrently); poison-tolerant, so one failed test does not fail the
+/// rest.
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// How many times `site` has fired an armed action.
 pub fn fired(site: &str) -> u64 {
     registry().lock().expect("failpoint registry poisoned").get(site).map_or(0, |s| s.fired)

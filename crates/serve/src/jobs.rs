@@ -1319,9 +1319,6 @@ mod tests {
 
     const WAIT: Duration = Duration::from_secs(60);
 
-    /// Tests arming the shared `job.*` failpoint sites must not overlap.
-    static FP_LOCK: Mutex<()> = Mutex::new(());
-
     #[test]
     fn header_and_records_round_trip() {
         let s = spec(OptimizerKind::MinRecc, 3);
@@ -1448,7 +1445,7 @@ mod tests {
 
     #[test]
     fn checkpoint_failpoint_fails_append_cleanly() {
-        let _fp = FP_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _fp = failpoint::test_lock();
         let dir = temp_dir("fp");
         let path = dir.join("job-0.reeccjob");
         let s = spec(OptimizerKind::Simple, 2);
@@ -1525,7 +1522,7 @@ mod tests {
 
     #[test]
     fn cancel_stops_the_job_cleanly() {
-        let _fp = FP_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _fp = failpoint::test_lock();
         let g = barabasi_albert(40, 2, 3);
         let live = live(&g);
         let runner = runner(&live, None);
@@ -1545,7 +1542,7 @@ mod tests {
 
     #[test]
     fn panicking_job_is_contained() {
-        let _fp = FP_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _fp = failpoint::test_lock();
         let g = cycle(10);
         let live = live(&g);
         let runner = runner(&live, None);
@@ -1610,7 +1607,7 @@ mod tests {
 
     #[test]
     fn fingerprint_mismatch_fails_resume_cleanly() {
-        let _fp = FP_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _fp = failpoint::test_lock();
         let dir = temp_dir("fpmm");
         let g = cycle(10);
         let lv = live(&g);
@@ -1635,7 +1632,7 @@ mod tests {
 
     #[test]
     fn epoch_swap_during_job_is_reported() {
-        let _fp = FP_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _fp = failpoint::test_lock();
         let g = barabasi_albert(30, 2, 5);
         // A tiny error budget: the first mutation kicks a re-sketch.
         let engine = Arc::new(

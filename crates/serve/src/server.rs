@@ -1355,6 +1355,7 @@ mod tests {
     fn pipe_session_streams_job_events_then_a_status_line() {
         use crate::jobs::JobsConfig;
         use crate::live::LiveEngine;
+        let _fp = failpoint::test_lock();
         let g = barabasi_albert(30, 2, 13);
         let engine = QueryEngine::build(
             &g,
@@ -1517,6 +1518,119 @@ mod tests {
         );
         let mut eof = String::new();
         assert_eq!(reader.read_line(&mut eof).unwrap(), 0, "then the socket closes");
+    }
+
+    #[test]
+    fn a_client_that_stops_reading_is_dropped_at_the_write_timeout() {
+        let pool = test_pool();
+        let config = ServerConfig {
+            write_timeout: Duration::from_millis(300),
+            poll_interval: Duration::from_millis(10),
+            ..ServerConfig::default()
+        };
+        let cap = config.write_buffer_cap;
+        let server = TcpServer::start_with(Arc::clone(&pool), "127.0.0.1:0", config).unwrap();
+        let stream = TcpStream::connect(server.local_addr()).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        // Pipeline `stats` requests (about 900 bytes of reply each) and read
+        // nothing. While the socket takes every reply, a connection holds at
+        // most one of them at a time; once the kernel's buffers are full,
+        // replies pile up in the reactor. Stop as soon as they do, far below
+        // `write_buffer_cap`.
+        let deadline = Instant::now() + Duration::from_secs(60);
+        let mut sent = 0u64;
+        while server.stats().snapshot().write_buffered_peak < 8 * 1024 {
+            assert!(Instant::now() < deadline, "replies never queued: {sent} requests sent");
+            for _ in 0..16 {
+                writeln!(writer, "{{\"op\":\"stats\"}}").unwrap();
+            }
+            sent += 16;
+            while pool.served() < sent {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        // No write progress from here on: the stall deadline drops the
+        // connection, and the drop is a timeout, not a buffer shed.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while server.live_sessions() > 0 {
+            assert!(Instant::now() < deadline, "stalled client was never dropped");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let snap = server.stats().snapshot();
+        assert_eq!(snap.connections_timed_out, 1, "{snap:?}");
+        assert_eq!(snap.write_buffer_sheds, 0, "{snap:?}");
+        assert!(snap.write_buffered_peak < cap as u64, "{snap:?}");
+        // Dropped without a notice: everything the client can still read
+        // is `stats` replies (the last one may be cut short).
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut received = Vec::new();
+        let _ = (&stream).read_to_end(&mut received);
+        let text = String::from_utf8_lossy(&received);
+        let mut lines: Vec<&str> = text.split('\n').collect();
+        lines.pop(); // the bytes after the last newline
+        assert!(!lines.is_empty());
+        for line in lines {
+            assert!(line.contains("\"op\":\"stats\""), "{line}");
+        }
+    }
+
+    #[test]
+    fn a_connection_waiting_on_a_job_result_is_not_idle() {
+        use crate::jobs::JobsConfig;
+        use crate::live::LiveEngine;
+        let _fp = failpoint::test_lock();
+        let g = barabasi_albert(30, 2, 13);
+        let engine = QueryEngine::build(
+            &g,
+            &SketchParams { epsilon: 0.5, seed: 5, ..Default::default() },
+        )
+        .unwrap();
+        let pool = ServePool::with_live_and_jobs(
+            LiveEngine::ephemeral(Arc::new(engine), None),
+            PoolConfig { threads: 1, queue_depth: 16, ..Default::default() },
+            Some(JobsConfig { max_jobs: 1, queue_depth: 4, job_dir: None }),
+        )
+        .unwrap();
+        let idle_timeout = Duration::from_millis(150);
+        let config = ServerConfig {
+            idle_timeout,
+            poll_interval: Duration::from_millis(10),
+            ..ServerConfig::default()
+        };
+        let server = TcpServer::start_with(Arc::new(pool), "127.0.0.1:0", config).unwrap();
+        let stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = stream;
+        // Three iterations of 150 ms each: the wait outlives the idle
+        // timeout about three times over.
+        failpoint::configure("job.iterate", failpoint::Action::Delay(150), None);
+        let started = Instant::now();
+        writeln!(
+            writer,
+            "{{\"op\":\"optimize-submit\",\"optimizer\":\"simple\",\"s\":1,\"k\":3,\
+             \"eps\":0.4,\"threads\":1,\"seed\":7,\"id\":1}}\n\
+             {{\"op\":\"optimize-result\",\"job\":0,\"wait\":true,\"id\":2}}"
+        )
+        .unwrap();
+        let mut ack = String::new();
+        reader.read_line(&mut ack).unwrap();
+        let mut result = String::new();
+        reader.read_line(&mut result).unwrap();
+        let waited = started.elapsed();
+        failpoint::clear("job.iterate");
+        assert!(ack.contains("\"op\":\"optimize-submit\"") && ack.contains("\"ok\":true"), "{ack}");
+        assert!(
+            result.contains("\"op\":\"optimize-result\"")
+                && result.contains("\"id\":2")
+                && result.contains("\"state\":\"completed\""),
+            "a parked wait must get its result, not the idle notice: {result}"
+        );
+        assert!(waited >= 2 * idle_timeout, "the wait must outlive the idle timeout: {waited:?}");
+        // Once the answer is out the connection is idle, and the rule applies.
+        let mut notice = String::new();
+        reader.read_line(&mut notice).unwrap();
+        assert!(notice.contains("deadline-exceeded") && notice.contains("idle"), "{notice}");
     }
 
     #[test]
