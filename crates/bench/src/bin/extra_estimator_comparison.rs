@@ -1,8 +1,8 @@
 //! Extra experiment (beyond the paper's tables): accuracy/time comparison
 //! of the three resistance-estimation families the paper's related work
 //! surveys — the APPROXER JL sketch (this library's core), UST
-//! spanning-edge sampling ([35]/[36]) and random-walk commute-time
-//! sampling ([37]–[39]) — against the exact dense pseudoinverse.
+//! spanning-edge sampling (\[35\]/\[36\]) and random-walk commute-time
+//! sampling (\[37\]–\[39\]) — against the exact dense pseudoinverse.
 //!
 //! Protocol: on a dataset analog, estimate `r(u, v)` for every *edge*
 //! (the regime all three support) and report mean relative error and

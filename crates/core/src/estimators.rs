@@ -3,12 +3,12 @@
 //! The paper (§II) surveys resistance-distance estimation beyond the
 //! Spielman–Srivastava sketch this crate centers on:
 //!
-//! * **UST / spanning-tree sampling** ([35], [36]): by Kirchhoff's
+//! * **UST / spanning-tree sampling** (\[35\], \[36\]): by Kirchhoff's
 //!   matrix-tree theorem, for an *edge* `e` the effective resistance
 //!   equals the probability that `e` appears in a uniform spanning tree —
 //!   the "spanning edge centrality". [`spanning_edge_centrality`] samples
 //!   Wilson trees and averages indicator vectors.
-//! * **Random-walk / commute-time sampling** ([37]–[39]): `r(u,v) =
+//! * **Random-walk / commute-time sampling** (\[37\]–\[39\]): `r(u,v) =
 //!   C(u,v) / 2m`, and the commute time is estimated by simulating round
 //!   trips `u → v → u` of an actual random walk.
 //!

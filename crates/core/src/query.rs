@@ -367,8 +367,8 @@ pub fn resistance_between(g: &Graph, u: usize, v: usize) -> Result<f64, CoreErro
 }
 
 /// The full approximate eccentricity distribution via FASTQUERY
-/// (`Q = V`), as an [`EccentricityDistribution`] plus the query
-/// diagnostics.
+/// (`Q = V`), as an [`EccentricityDistribution`](crate::EccentricityDistribution)
+/// plus the query diagnostics.
 ///
 /// # Errors
 ///

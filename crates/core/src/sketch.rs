@@ -727,7 +727,7 @@ impl ResistanceSketch {
     /// dimension — the drop-rescale `√(d₀/d)` of the build is already
     /// folded into the stored columns, so the effective projection entries
     /// are `±1/√d` throughout. Cost `O(n·d)`: one read of this sketch and
-    /// one write of the new one (see [`Self::rank_one`]).
+    /// one write of the new one (the private `rank_one` pass).
     ///
     /// Build diagnostics and `ε` carry over: the update adds no solver
     /// error beyond the CG tolerance of `potentials`, and the added JL

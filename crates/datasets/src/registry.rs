@@ -260,10 +260,12 @@ impl Dataset {
     ///
     /// * Tiny social networks → [`random_dense_small`] with the exact
     ///   paper `n`, `m` (any tier).
-    /// * Everything else → [`holme_kim`] with attachment count
-    ///   `max(1, round(d_avg / 2))` (so the analog matches the paper's
-    ///   average degree) and triad probability `0.6` (scale-free *and*
-    ///   clustered, the regime §IV-B analyzes), at the tier's node count.
+    /// * Everything else → a [`holme_kim_varied`] core with mean
+    ///   attachment count `max(1, round(d_avg / 2))` (so the analog
+    ///   matches the paper's average degree) and triad probability `0.6`
+    ///   (scale-free *and* clustered, the regime §IV-B analyzes), plus
+    ///   15 % of the tier's node count on pendant chains
+    ///   ([`with_pendant_periphery`]).
     pub fn synthesize(&self, tier: Tier) -> Graph {
         let stats = self.paper_stats();
         if self.is_tiny() {

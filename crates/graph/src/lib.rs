@@ -10,7 +10,7 @@
 //!   O(deg) neighbor iteration.
 //! * [`GraphBuilder`] — incremental construction with duplicate-edge and
 //!   self-loop removal.
-//! * [`fingerprint`] — representation-level FNV-1a graph fingerprints
+//! * [`fingerprint`](mod@fingerprint) — representation-level FNV-1a graph fingerprints
 //!   (snapshot validation in the serving layer).
 //! * [`generators`] — deterministic and seeded random graph families (line,
 //!   cycle, star, complete, grid, trees, barbells, Erdős–Rényi,

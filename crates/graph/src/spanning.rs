@@ -3,7 +3,7 @@
 //! Wilson's algorithm (STOC'96) samples a spanning tree *exactly*
 //! uniformly at random using loop-erased random walks, in expected time
 //! proportional to the mean hitting time. The paper's related work
-//! ([35]–[37]) builds resistance estimators on top of UST sampling —
+//! (\[35\]–\[37\]) builds resistance estimators on top of UST sampling —
 //! `reecc-core::estimators` implements that comparator; this module is
 //! the sampler itself.
 

@@ -24,9 +24,10 @@ use crate::triangle::{
 };
 
 /// Work (`n·d` multiply-adds per full-`n` sweep) under which APPROXCH
-/// stays on the calling thread: the floor `eccentricity_batch` uses in
-/// `reecc-core`, under which a sweep finishes before threads would start.
-const PARALLEL_MIN_WORK: usize = 1 << 16;
+/// stays on the calling thread. Each sweep spawns its threads afresh
+/// (60–80 µs each on a 2-vCPU VM), and below this floor one thread
+/// measured faster than two (DESIGN §16.2).
+const PARALLEL_MIN_WORK: usize = 1 << 19;
 
 /// Options for [`approx_convex_hull`]. The default is unbounded, on
 /// available parallelism, with [`TriangleOptions::default`].
@@ -38,7 +39,7 @@ pub struct ApproxChOptions {
     /// Worker threads for the full-`n` sweeps (diameter, seeds and the
     /// witness-direction argmax); `0` = use available parallelism, as in
     /// `SketchParams::threads`. Every count gives the same [`HullResult`].
-    /// Inputs with `n·d < 2^16` stay on the calling thread.
+    /// Inputs with `n·d < 2^19` stay on the calling thread.
     pub threads: usize,
     /// Triangle-Algorithm iteration cap per membership query.
     pub triangle: TriangleOptions,
@@ -278,6 +279,23 @@ mod tests {
                 hull_far >= true_far - 2.0 * theta * res.diameter_estimate,
                 "query {q}: hull {hull_far} vs true {true_far}"
             );
+        }
+    }
+
+    #[test]
+    fn threaded_sweeps_above_the_work_floor_match_one_thread() {
+        // n·d = 2^19, the floor: the sweeps split over the given threads.
+        let mut rng = StdRng::seed_from_u64(23);
+        let pts: Vec<Vec<f64>> =
+            (0..8192).map(|_| (0..64).map(|_| rng.gen_range(-1.0..1.0)).collect()).collect();
+        let ps = PointSet::from_points(&pts);
+        let opts = ApproxChOptions { max_vertices: Some(24), ..Default::default() };
+        let serial = approx_convex_hull(&ps, 0.2, ApproxChOptions { threads: 1, ..opts });
+        assert!(serial.vertices.len() > 2, "the witness loop must run: {serial:?}");
+        for threads in [2usize, 3] {
+            let res = approx_convex_hull(&ps, 0.2, ApproxChOptions { threads, ..opts });
+            assert_eq!(res, serial, "threads = {threads}");
+            assert_eq!(res.diameter_estimate.to_bits(), serial.diameter_estimate.to_bits());
         }
     }
 

@@ -438,7 +438,7 @@ pub(crate) fn apply_column_preconditioner<T: Scalar>(
 }
 
 /// Deterministic `λ_max(Â)` estimate for the scaled operator: a fixed
-/// [`POWER_ITERATIONS`]-step power iteration from a seeded start vector
+/// `POWER_ITERATIONS`-step power iteration from a seeded start vector
 /// (no tolerance branch, so the float sequence — and the resolved config —
 /// is a pure function of the graph), widened by the safety margin and
 /// capped at the universal bound 2.

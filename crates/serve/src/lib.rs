@@ -38,12 +38,11 @@
 //! * [`server`] — the transports: a session loop over stdin/stdout (pipe
 //!   mode) and a readiness-driven `poll(2)` event loop over TCP (one
 //!   reactor thread owning every connection state machine, with admission
-//!   control, bounded write buffers, and timer-wheel deadlines).
+//!   control, bounded write buffers, and idle and write-stall deadlines
+//!   checked in its one pass per tick).
 //! * [`sys`] — the thin std-only OS shim the reactor needs (`poll(2)`,
 //!   SIGTERM→flag, `RLIMIT_NOFILE`), declared directly against the C
 //!   runtime (the workspace is offline; no libc crate).
-//! * [`timer`] — the lazy hashed timer wheel behind the reactor's idle
-//!   and write-stall deadlines (`O(1)` schedule, validate-on-fire).
 //! * [`json`] — the minimal JSON value parser/printer the protocol uses
 //!   (the workspace is offline; no serde).
 //!
@@ -75,7 +74,6 @@ pub mod protocol;
 pub mod server;
 pub mod snapshot;
 pub mod sys;
-pub mod timer;
 pub mod wal;
 
 pub use jobs::{

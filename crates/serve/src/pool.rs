@@ -58,10 +58,11 @@ use crate::live::{EpochView, LiveEngine, LiveError};
 use crate::protocol::{ErrorKind, Outcome, Request, RequestEnvelope, Response, StatsReport};
 use crate::wal::WalOp;
 
-/// How long `optimize-result` with `"wait":true` is willing to park the
-/// calling session thread before answering with the job's current
-/// (possibly still non-terminal) state.
-const JOB_WAIT_TIMEOUT: Duration = Duration::from_secs(3600);
+/// How long `optimize-result` with `"wait":true` stays pending before it
+/// answers with the job's current (possibly still non-terminal) state, on
+/// both transports: the pipe parks its session thread in
+/// [`JobRunner::wait`], and the TCP reactor re-checks the job every tick.
+pub(crate) const JOB_WAIT_TIMEOUT: Duration = Duration::from_secs(3600);
 
 /// Pool sizing and behavior knobs.
 #[derive(Debug, Clone, Copy)]

@@ -19,10 +19,11 @@
 //!   `overloaded` line (through the same bounded write path as any other
 //!   response) and a close, and accepts are batch-limited per tick so an
 //!   accept storm cannot starve live connections;
-//! * slow-client defense — idle and write-stall deadlines enforced by a
-//!   lazy timer wheel ([`crate::timer`]); a client that stops reading its
+//! * slow-client defense — idle and write-stall deadlines, checked for
+//!   every connection once per tick; a client that stops reading its
 //!   responses is shed the moment its bounded write buffer would
-//!   overflow, never allowed to wedge the reactor;
+//!   overflow, or dropped once its pending output has made no progress
+//!   for `write_timeout`, never allowed to wedge the reactor;
 //! * a line-length cap — a client streaming bytes without a newline
 //!   cannot grow a read buffer without bound;
 //! * [`TcpServer::stop`] tears the whole loop down promptly: the reactor
@@ -38,6 +39,12 @@
 //! `poll(2)` reports writability. Pool workers hand finished responses to
 //! the reactor through a completion queue plus a loopback wake socket, so
 //! results are flushed promptly instead of waiting out a poll timeout.
+//!
+//! A tick is one `poll(2)`, the wake socket and the completion queue
+//! drained, one accept burst, and then one pass over the connections: each
+//! in turn reads what was ready, dispatches, advances a pending job op,
+//! flushes, has both deadlines checked, and is closed if it is dead or
+//! finished.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufRead, Read, Write};
@@ -47,10 +54,9 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::failpoint;
-use crate::pool::{ServePool, SubmitError};
+use crate::pool::{ServePool, SubmitError, JOB_WAIT_TIMEOUT};
 use crate::protocol::{parse_request, render_job_event, ErrorKind, Outcome, Request, Response};
 use crate::sys::{self, PollFd};
-use crate::timer::TimerWheel;
 
 /// How long one `optimize-events` follow tick blocks waiting for a fresh
 /// event before re-checking the job's terminal state (pipe mode only; the
@@ -66,11 +72,6 @@ const INBOX_MAX: usize = 128;
 /// of a reactor tick at `READ_ROUNDS × 4096` bytes.
 const READ_ROUNDS: usize = 16;
 
-/// How long `optimize-result` with `"wait":true` may stay pending on a
-/// connection before answering with the job's current state (mirrors the
-/// pool's blocking-path timeout).
-const RESULT_WAIT_TIMEOUT: Duration = Duration::from_secs(3600);
-
 /// Connection-hygiene knobs for the TCP transport.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
@@ -82,7 +83,7 @@ pub struct ServerConfig {
     pub idle_timeout: Duration,
     /// The reactor tick: the upper bound on how long the loop sleeps in
     /// `poll(2)` when nothing is ready (and therefore on shutdown and
-    /// timer latency).
+    /// deadline latency).
     pub poll_interval: Duration,
     /// Write-stall deadline: a client that stops reading its responses
     /// for this long while output is pending is dropped.
@@ -398,7 +399,7 @@ impl TcpServer {
         let (reactor, wake_tx) = Reactor::bind(pool, addr, config)?;
         let addr = reactor.listener.local_addr()?;
         let shutdown = Arc::clone(&reactor.shutdown);
-        let stats = Arc::clone(&reactor.stats);
+        let stats = Arc::clone(&reactor.ctx.stats);
         let reactor_thread = std::thread::Builder::new()
             .name("reecc-serve-reactor".to_string())
             .spawn(move || reactor.run())?;
@@ -492,6 +493,9 @@ enum Active {
 struct Conn {
     stream: TcpStream,
     mode: Mode,
+    /// This tick's index into the `poll(2)` set; `None` for a connection
+    /// admitted after the set was built.
+    poll_slot: Option<usize>,
     /// Bytes read but not yet framed into a line.
     rbuf: Vec<u8>,
     /// Prefix of `rbuf` already scanned for a newline.
@@ -501,15 +505,17 @@ struct Conn {
     /// Pending output (bounded by `write_buffer_cap`).
     out: VecDeque<u8>,
     active: Option<Active>,
+    /// The last read, completion or write progress: the idle clock.
     last_activity: Instant,
-    /// Set while `out` is nonempty: the last instant the socket accepted
-    /// bytes (or the enqueue instant); the write-stall clock.
-    stalled_since: Option<Instant>,
+    /// The last instant the socket accepted bytes, or the instant `out`
+    /// became nonempty: the write-stall clock, read while `out` is
+    /// nonempty.
+    stalled_since: Instant,
     /// The client half-closed; serve what was pipelined, then close.
     eof: bool,
     /// A final notice is queued; close once `out` drains.
     closing: bool,
-    /// Condemned; reaped at the end of the tick.
+    /// Condemned; closed at the end of its turn in the pass.
     dead: bool,
 }
 
@@ -518,13 +524,14 @@ impl Conn {
         Conn {
             stream,
             mode,
+            poll_slot: None,
             rbuf: Vec::new(),
             scanned: 0,
             inbox: VecDeque::new(),
             out: VecDeque::new(),
             active: None,
             last_activity: now,
-            stalled_since: None,
+            stalled_since: now,
             eof: false,
             closing: false,
             dead: false,
@@ -540,23 +547,17 @@ impl Conn {
     }
 }
 
-/// Everything a per-connection operation may touch besides the `Conn`
-/// itself; split out so the reactor can hold `&mut` to one connection and
-/// to this at the same time (disjoint fields of [`Reactor`]).
-struct Ctx<'a> {
-    config: &'a ServerConfig,
-    stats: &'a TransportStats,
-    wheel: &'a mut TimerWheel,
-    buffered_total: &'a mut usize,
-}
-
-/// Timer-wheel token encoding: connection token × 2, low bit selects the
-/// deadline kind (0 = idle, 1 = write stall).
-const TIMER_IDLE: u64 = 0;
-const TIMER_STALL: u64 = 1;
-
-fn timer_token(conn_token: u64, kind: u64) -> u64 {
-    conn_token << 1 | kind
+/// Everything a per-connection step may touch besides the `Conn` itself;
+/// a field of [`Reactor`] apart from `conns`, so that both can be
+/// borrowed at once.
+struct Ctx {
+    config: ServerConfig,
+    stats: Arc<TransportStats>,
+    /// Total pending output across all connections, in bytes.
+    buffered_total: usize,
+    /// The tick's clock, read once when `poll(2)` returns; every deadline
+    /// and activity stamp of the tick uses it.
+    now: Instant,
 }
 
 /// The event loop: owns the listener, the wake socket, and every
@@ -564,21 +565,17 @@ fn timer_token(conn_token: u64, kind: u64) -> u64 {
 /// tick itself.
 struct Reactor {
     pool: Arc<ServePool>,
-    config: ServerConfig,
-    stats: Arc<TransportStats>,
     completions: Arc<Completions>,
     shutdown: Arc<AtomicBool>,
     listener: TcpListener,
     wake_rx: TcpStream,
     conns: HashMap<u64, Conn>,
-    wheel: TimerWheel,
+    ctx: Ctx,
     /// Monotonic connection tokens; never reused, so a stale completion
-    /// or timer entry for a gone connection falls on the floor.
+    /// for a gone connection falls on the floor.
     next_token: u64,
     /// Connections in [`Mode::Serving`] (the admission-control count).
     serving: usize,
-    /// Total pending output across all connections, in bytes.
-    buffered_total: usize,
 }
 
 /// Accept-queue length requested for the listener (DESIGN §13.3). The
@@ -616,17 +613,14 @@ impl Reactor {
             Arc::new(Completions { queue: Mutex::new(Vec::new()), wake: wake_tx.try_clone()? });
         let reactor = Reactor {
             pool,
-            config,
-            stats,
             completions,
             shutdown: Arc::new(AtomicBool::new(false)),
             listener,
             wake_rx,
             conns: HashMap::new(),
-            wheel: TimerWheel::new(Duration::from_millis(5), 512),
+            ctx: Ctx { config, stats, buffered_total: 0, now: Instant::now() },
             next_token: 1,
             serving: 0,
-            buffered_total: 0,
         };
         Ok((reactor, wake_tx))
     }
@@ -654,24 +648,21 @@ impl Reactor {
     /// up to two accept bursts of [`Mode::Shedding`] connections (to say
     /// goodbye politely); past that, storms are hard-closed.
     fn slack_cap(&self) -> usize {
-        self.config.max_connections.max(1) + 2 * self.config.accept_burst.max(1)
+        self.ctx.config.max_connections.max(1) + 2 * self.ctx.config.accept_burst.max(1)
     }
 
     fn run(mut self) -> io::Result<()> {
-        let tick = self.config.poll_interval.max(Duration::from_millis(1));
+        let tick = self.ctx.config.poll_interval.max(Duration::from_millis(1));
         let mut fds: Vec<PollFd> = Vec::new();
-        let mut fd_tokens: Vec<u64> = Vec::new();
-        let mut due: Vec<u64> = Vec::new();
         while !self.shutdown.load(Ordering::SeqCst) {
             fds.clear();
-            fd_tokens.clear();
             let accepting = self.conns.len() < self.slack_cap();
             fds.push(PollFd::new(
                 raw_fd(&self.listener),
                 if accepting { sys::POLLIN } else { 0 },
             ));
             fds.push(PollFd::new(raw_fd(&self.wake_rx), sys::POLLIN));
-            for (&token, conn) in &self.conns {
+            for conn in self.conns.values_mut() {
                 let mut events = 0i16;
                 if !conn.closing && !conn.eof && conn.inbox.len() < INBOX_MAX {
                     events |= sys::POLLIN;
@@ -679,10 +670,11 @@ impl Reactor {
                 if !conn.out.is_empty() {
                     events |= sys::POLLOUT;
                 }
+                conn.poll_slot = Some(fds.len());
                 fds.push(PollFd::new(raw_fd(&conn.stream), events));
-                fd_tokens.push(token);
             }
             sys::poll_fds(&mut fds, tick)?;
+            self.ctx.now = Instant::now();
             if fds[1].ready(sys::POLLIN) {
                 self.drain_wake();
             }
@@ -690,42 +682,43 @@ impl Reactor {
             if fds[0].ready(sys::POLLIN) {
                 self.accept_burst();
             }
-            // Readiness over the snapshot taken before poll: a token that
-            // died meanwhile just misses (get_mut returns None).
-            {
-                let conns = &mut self.conns;
-                let mut ctx = Ctx {
-                    config: &self.config,
-                    stats: &self.stats,
-                    wheel: &mut self.wheel,
-                    buffered_total: &mut self.buffered_total,
-                };
-                for (i, &token) in fd_tokens.iter().enumerate() {
-                    let pfd = fds[2 + i];
-                    let Some(conn) = conns.get_mut(&token) else { continue };
-                    if pfd.ready(sys::POLLNVAL) {
-                        conn.dead = true;
-                        continue;
-                    }
-                    // On hangup, read anyway: data may still be queued
-                    // ahead of the EOF.
-                    if pfd.ready(sys::POLLIN | sys::POLLERR | sys::POLLHUP) {
-                        read_conn(conn, token, &mut ctx);
-                    }
-                }
-            }
-            self.dispatch_all();
-            self.poll_actives();
-            self.flush_all();
-            due.clear();
-            self.wheel.collect_due(Instant::now(), &mut due);
-            for &entry in &due {
-                self.fire_timer(entry);
-            }
-            self.reap();
+            self.pass(&fds);
         }
         self.teardown();
         Ok(())
+    }
+
+    /// The tick's one pass over the connections. Each connection in turn
+    /// reads what `poll(2)` found ready, dispatches its inbox, advances a
+    /// pending job op, flushes, has both deadlines checked, and is closed
+    /// if it is dead or finished.
+    fn pass(&mut self, fds: &[PollFd]) {
+        let Reactor { pool, completions, conns, ctx, serving, .. } = self;
+        conns.retain(|&token, conn| {
+            if let Some(pfd) = conn.poll_slot.take().map(|i| fds[i]) {
+                if pfd.ready(sys::POLLNVAL) {
+                    conn.dead = true;
+                } else if pfd.ready(sys::POLLIN | sys::POLLERR | sys::POLLHUP) {
+                    // On hangup, read anyway: data may still be queued
+                    // ahead of the EOF.
+                    read_conn(conn, ctx);
+                }
+            }
+            dispatch_conn(conn, token, ctx, pool, completions);
+            poll_active(conn, ctx, pool);
+            flush_conn(conn, ctx);
+            check_deadlines(conn, ctx);
+            if !conn.dead && !conn.finished() {
+                return true;
+            }
+            ctx.buffered_total -= conn.out.len();
+            if conn.mode == Mode::Serving {
+                *serving -= 1;
+            }
+            let _ = conn.stream.shutdown(Shutdown::Both);
+            ctx.stats.active.fetch_sub(1, Ordering::Relaxed);
+            false
+        });
     }
 
     fn drain_wake(&mut self) {
@@ -746,23 +739,13 @@ impl Reactor {
             let mut queue = self.completions.queue.lock().expect("completion queue poisoned");
             std::mem::take(&mut *queue)
         };
-        if batch.is_empty() {
-            return;
-        }
-        let conns = &mut self.conns;
-        let mut ctx = Ctx {
-            config: &self.config,
-            stats: &self.stats,
-            wheel: &mut self.wheel,
-            buffered_total: &mut self.buffered_total,
-        };
         for (token, response) in batch {
-            let Some(conn) = conns.get_mut(&token) else { continue };
+            let Some(conn) = self.conns.get_mut(&token) else { continue };
             if matches!(conn.active, Some(Active::Pool)) {
                 conn.active = None;
             }
-            conn.last_activity = Instant::now();
-            enqueue_response(conn, token, &mut ctx, &response);
+            conn.last_activity = self.ctx.now;
+            enqueue_response(conn, &mut self.ctx, &response);
         }
     }
 
@@ -770,7 +753,7 @@ impl Reactor {
         if let Err(_msg) = failpoint::hit("transport.accept") {
             return; // injected accept fault: skip this tick's accepts
         }
-        for _ in 0..self.config.accept_burst.max(1) {
+        for _ in 0..self.ctx.config.accept_burst.max(1) {
             if self.conns.len() >= self.slack_cap() {
                 break;
             }
@@ -786,194 +769,53 @@ impl Reactor {
     }
 
     fn admit(&mut self, stream: TcpStream) {
-        self.stats.accepted.fetch_add(1, Ordering::Relaxed);
+        let stats = &self.ctx.stats;
+        stats.accepted.fetch_add(1, Ordering::Relaxed);
         if stream.set_nonblocking(true).is_err() {
-            self.stats.shed.fetch_add(1, Ordering::Relaxed);
+            stats.shed.fetch_add(1, Ordering::Relaxed);
             return;
         }
         // Best-effort, like the wake socket: without it Nagle holds back
         // the second write of a reply that wraps the output ring until
         // the client acknowledges the first.
         let _ = stream.set_nodelay(true);
-        let now = Instant::now();
+        stats.active.fetch_add(1, Ordering::Relaxed);
         let token = self.next_token;
         self.next_token += 1;
-        let cap = self.config.max_connections.max(1);
-        if self.serving >= cap {
-            // Over cap: one polite `overloaded` line through the same
-            // bounded write path as any response, then close.
-            self.stats.shed.fetch_add(1, Ordering::Relaxed);
-            let mut conn = Conn::new(stream, Mode::Shedding, now);
-            conn.closing = true;
-            self.stats.active.fetch_add(1, Ordering::Relaxed);
-            self.conns.insert(token, conn);
-            let line = Response::error(
-                None,
-                "?",
-                ErrorKind::Overloaded,
-                format!("connection limit reached ({cap} live sessions); retry later"),
-            )
-            .render();
-            let mut ctx = Ctx {
-                config: &self.config,
-                stats: &self.stats,
-                wheel: &mut self.wheel,
-                buffered_total: &mut self.buffered_total,
-            };
-            if let Some(conn) = self.conns.get_mut(&token) {
-                enqueue_line(conn, token, &mut ctx, &line);
-            }
+        let cap = self.ctx.config.max_connections.max(1);
+        if self.serving < cap {
+            self.serving += 1;
+            self.conns.insert(token, Conn::new(stream, Mode::Serving, self.ctx.now));
             return;
         }
-        self.serving += 1;
-        self.stats.active.fetch_add(1, Ordering::Relaxed);
-        self.conns.insert(token, Conn::new(stream, Mode::Serving, now));
-        self.wheel.schedule(timer_token(token, TIMER_IDLE), now + self.config.idle_timeout);
-    }
-
-    fn dispatch_all(&mut self) {
-        let tokens: Vec<u64> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| c.active.is_none() && !c.dead && !c.closing && !c.inbox.is_empty())
-            .map(|(&t, _)| t)
-            .collect();
-        let conns = &mut self.conns;
-        let mut ctx = Ctx {
-            config: &self.config,
-            stats: &self.stats,
-            wheel: &mut self.wheel,
-            buffered_total: &mut self.buffered_total,
-        };
-        for token in tokens {
-            let Some(conn) = conns.get_mut(&token) else { continue };
-            dispatch_conn(conn, token, &mut ctx, &self.pool, &self.completions);
-        }
-    }
-
-    fn poll_actives(&mut self) {
-        let tokens: Vec<u64> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| !c.dead && !matches!(c.active, None | Some(Active::Pool)))
-            .map(|(&t, _)| t)
-            .collect();
-        let conns = &mut self.conns;
-        let mut ctx = Ctx {
-            config: &self.config,
-            stats: &self.stats,
-            wheel: &mut self.wheel,
-            buffered_total: &mut self.buffered_total,
-        };
-        for token in tokens {
-            let Some(conn) = conns.get_mut(&token) else { continue };
-            poll_active(conn, token, &mut ctx, &self.pool);
-        }
-    }
-
-    fn flush_all(&mut self) {
-        let conns = &mut self.conns;
-        let mut ctx = Ctx {
-            config: &self.config,
-            stats: &self.stats,
-            wheel: &mut self.wheel,
-            buffered_total: &mut self.buffered_total,
-        };
-        for conn in conns.values_mut() {
-            flush_conn(conn, &mut ctx);
-        }
-    }
-
-    fn fire_timer(&mut self, entry: u64) {
-        let token = entry >> 1;
-        let kind = entry & 1;
-        let conns = &mut self.conns;
-        let wheel = &mut self.wheel;
-        let Some(conn) = conns.get_mut(&token) else { return };
-        if conn.dead {
-            return;
-        }
-        let now = Instant::now();
-        if kind == TIMER_STALL {
-            match conn.stalled_since {
-                Some(since) if !conn.out.is_empty() => {
-                    if now.saturating_duration_since(since) >= self.config.write_timeout {
-                        // The client stopped reading; there is no point
-                        // queueing a goodbye it will not drain.
-                        self.stats.timed_out.fetch_add(1, Ordering::Relaxed);
-                        conn.dead = true;
-                    } else {
-                        wheel.schedule(entry, since + self.config.write_timeout);
-                    }
-                }
-                _ => {} // drained meanwhile; the deadline lapses
-            }
-            return;
-        }
-        // Idle: only a quiet connection with nothing in flight is
-        // reaped — a job follower or a parked `wait` is not idle.
-        if conn.closing || conn.eof {
-            return;
-        }
-        let busy = conn.active.is_some() || !conn.inbox.is_empty() || !conn.out.is_empty();
-        let idle_for = now.saturating_duration_since(conn.last_activity);
-        if !busy && idle_for >= self.config.idle_timeout {
-            self.stats.timed_out.fetch_add(1, Ordering::Relaxed);
-            let response = Response::error(
-                None,
-                "?",
-                ErrorKind::DeadlineExceeded,
-                format!(
-                    "idle for {:?} (limit {:?}); closing session",
-                    idle_for, self.config.idle_timeout
-                ),
-            );
-            conn.closing = true;
-            let mut ctx = Ctx {
-                config: &self.config,
-                stats: &self.stats,
-                wheel,
-                buffered_total: &mut self.buffered_total,
-            };
-            enqueue_response(conn, token, &mut ctx, &response);
-        } else {
-            let base = if busy { now } else { conn.last_activity };
-            wheel.schedule(entry, base + self.config.idle_timeout);
-        }
-    }
-
-    fn reap(&mut self) {
-        let finished: Vec<u64> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| c.dead || c.finished())
-            .map(|(&t, _)| t)
-            .collect();
-        for token in finished {
-            if let Some(conn) = self.conns.remove(&token) {
-                self.buffered_total -= conn.out.len();
-                if conn.mode == Mode::Serving {
-                    self.serving -= 1;
-                }
-                let _ = conn.stream.shutdown(Shutdown::Both);
-                self.stats.active.fetch_sub(1, Ordering::Relaxed);
-            }
-        }
+        // Over cap: one polite `overloaded` line through the same bounded
+        // write path as any response, then close.
+        stats.shed.fetch_add(1, Ordering::Relaxed);
+        let mut conn = Conn::new(stream, Mode::Shedding, self.ctx.now);
+        conn.closing = true;
+        let response = Response::error(
+            None,
+            "?",
+            ErrorKind::Overloaded,
+            format!("connection limit reached ({cap} live sessions); retry later"),
+        );
+        enqueue_response(&mut conn, &mut self.ctx, &response);
+        self.conns.insert(token, conn);
     }
 
     fn teardown(&mut self) {
         for (_, conn) in self.conns.drain() {
             let _ = conn.stream.shutdown(Shutdown::Both);
-            self.stats.active.fetch_sub(1, Ordering::Relaxed);
+            self.ctx.stats.active.fetch_sub(1, Ordering::Relaxed);
         }
         self.serving = 0;
-        self.buffered_total = 0;
+        self.ctx.buffered_total = 0;
     }
 }
 
 /// Queue one already-rendered line (plus newline) on a connection's
 /// bounded write buffer; sheds the connection if the line does not fit.
-fn enqueue_line(conn: &mut Conn, token: u64, ctx: &mut Ctx<'_>, line: &str) {
+fn enqueue_line(conn: &mut Conn, ctx: &mut Ctx, line: &str) {
     if conn.dead {
         return;
     }
@@ -986,25 +828,22 @@ fn enqueue_line(conn: &mut Conn, token: u64, ctx: &mut Ctx<'_>, line: &str) {
         conn.dead = true;
         return;
     }
-    let was_empty = conn.out.is_empty();
+    if conn.out.is_empty() {
+        conn.stalled_since = ctx.now;
+    }
     conn.out.extend(line.as_bytes().iter().copied());
     conn.out.push_back(b'\n');
-    *ctx.buffered_total += needed;
-    ctx.stats.write_buffered_peak.fetch_max(*ctx.buffered_total as u64, Ordering::Relaxed);
-    if was_empty {
-        let now = Instant::now();
-        conn.stalled_since = Some(now);
-        ctx.wheel.schedule(timer_token(token, TIMER_STALL), now + ctx.config.write_timeout);
-    }
+    ctx.buffered_total += needed;
+    ctx.stats.write_buffered_peak.fetch_max(ctx.buffered_total as u64, Ordering::Relaxed);
 }
 
-fn enqueue_response(conn: &mut Conn, token: u64, ctx: &mut Ctx<'_>, response: &Response) {
-    enqueue_line(conn, token, ctx, &response.render());
+fn enqueue_response(conn: &mut Conn, ctx: &mut Ctx, response: &Response) {
+    enqueue_line(conn, ctx, &response.render());
 }
 
 /// Drain readable bytes into lines; bounded per tick by [`READ_ROUNDS`]
 /// and by the inbox cap.
-fn read_conn(conn: &mut Conn, token: u64, ctx: &mut Ctx<'_>) {
+fn read_conn(conn: &mut Conn, ctx: &mut Ctx) {
     if conn.dead || conn.closing || conn.eof {
         return;
     }
@@ -1025,7 +864,7 @@ fn read_conn(conn: &mut Conn, token: u64, ctx: &mut Ctx<'_>) {
             }
             Ok(n) => {
                 ctx.stats.bytes_read.fetch_add(n as u64, Ordering::Relaxed);
-                conn.last_activity = Instant::now();
+                conn.last_activity = ctx.now;
                 conn.rbuf.extend_from_slice(&chunk[..n]);
                 // Frame complete lines; scan only bytes not seen before.
                 while let Some(at) = conn.rbuf[conn.scanned..].iter().position(|&b| b == b'\n')
@@ -1047,7 +886,7 @@ fn read_conn(conn: &mut Conn, token: u64, ctx: &mut Ctx<'_>) {
                              closing session"
                         ),
                     );
-                    enqueue_response(conn, token, ctx, &response);
+                    enqueue_response(conn, ctx, &response);
                     return;
                 }
             }
@@ -1068,8 +907,8 @@ fn read_conn(conn: &mut Conn, token: u64, ctx: &mut Ctx<'_>) {
 fn dispatch_conn(
     conn: &mut Conn,
     token: u64,
-    ctx: &mut Ctx<'_>,
-    pool: &Arc<ServePool>,
+    ctx: &mut Ctx,
+    pool: &ServePool,
     completions: &Arc<Completions>,
 ) {
     while conn.active.is_none() && !conn.dead && !conn.closing {
@@ -1085,7 +924,7 @@ fn dispatch_conn(
             Ok(env) => env,
             Err(message) => {
                 let response = Response::error(None, "?", ErrorKind::Parse, message);
-                enqueue_response(conn, token, ctx, &response);
+                enqueue_response(conn, ctx, &response);
                 continue;
             }
         };
@@ -1112,14 +951,13 @@ fn dispatch_conn(
                     Some(Active::Events { id: env.id, job, cursor: since as usize, follow });
             }
             Route::Wait { job } => {
-                conn.active =
-                    Some(Active::ResultWait { id: env.id, job, started: Instant::now() });
+                conn.active = Some(Active::ResultWait { id: env.id, job, started: ctx.now });
             }
             // Job control is registry lookups; answering inline keeps it
             // independent of a full query queue (same rule as pipe mode).
             Route::Inline => {
                 let response = pool.run(env);
-                enqueue_response(conn, token, ctx, &response);
+                enqueue_response(conn, ctx, &response);
             }
             Route::Pool => {
                 let id = env.id;
@@ -1135,7 +973,7 @@ fn dispatch_conn(
                             ErrorKind::Overloaded,
                             format!("request queue full (depth {depth}); retry later"),
                         );
-                        enqueue_response(conn, token, ctx, &response);
+                        enqueue_response(conn, ctx, &response);
                     }
                     Err(SubmitError::ShuttingDown) => {
                         let response = Response::error(
@@ -1144,7 +982,7 @@ fn dispatch_conn(
                             ErrorKind::Draining,
                             "pool is draining; request not accepted".to_string(),
                         );
-                        enqueue_response(conn, token, ctx, &response);
+                        enqueue_response(conn, ctx, &response);
                     }
                 }
             }
@@ -1155,23 +993,26 @@ fn dispatch_conn(
 /// Advance a connection's pending job op without blocking: pull whatever
 /// `optimize-events` has buffered, or check whether a waited-on job went
 /// terminal. Re-arms itself until done.
-fn poll_active(conn: &mut Conn, token: u64, ctx: &mut Ctx<'_>, pool: &Arc<ServePool>) {
+fn poll_active(conn: &mut Conn, ctx: &mut Ctx, pool: &ServePool) {
+    if conn.dead {
+        return;
+    }
     let Some(active) = conn.active.take() else { return };
     match active {
         Active::Pool => conn.active = Some(Active::Pool),
         Active::Events { id, job, cursor, follow } => {
             let reply = |outcome| Response::untimed(id, "optimize-events", outcome);
             let Some(runner) = pool.jobs() else {
-                enqueue_response(conn, token, ctx, &reply(Outcome::jobs_disabled()));
+                enqueue_response(conn, ctx, &reply(Outcome::jobs_disabled()));
                 return;
             };
             let Some((events, terminal)) = runner.events(job, cursor, false, Duration::ZERO)
             else {
-                enqueue_response(conn, token, ctx, &reply(Outcome::unknown_job(job)));
+                enqueue_response(conn, ctx, &reply(Outcome::unknown_job(job)));
                 return;
             };
             for event in &events {
-                enqueue_line(conn, token, ctx, &render_job_event(id, job, event));
+                enqueue_line(conn, ctx, &render_job_event(id, job, event));
                 if conn.dead {
                     return; // buffer shed mid-stream
                 }
@@ -1179,7 +1020,7 @@ fn poll_active(conn: &mut Conn, token: u64, ctx: &mut Ctx<'_>, pool: &Arc<ServeP
             let cursor = cursor + events.len();
             if terminal || !follow {
                 if let Some(report) = runner.status(job) {
-                    enqueue_response(conn, token, ctx, &reply(Outcome::job_status(&report)));
+                    enqueue_response(conn, ctx, &reply(Outcome::job_status(&report)));
                 }
             } else {
                 conn.active = Some(Active::Events { id, job, cursor, follow });
@@ -1188,16 +1029,16 @@ fn poll_active(conn: &mut Conn, token: u64, ctx: &mut Ctx<'_>, pool: &Arc<ServeP
         Active::ResultWait { id, job, started } => {
             let reply = |outcome| Response::untimed(id, "optimize-result", outcome);
             let Some(runner) = pool.jobs() else {
-                enqueue_response(conn, token, ctx, &reply(Outcome::jobs_disabled()));
+                enqueue_response(conn, ctx, &reply(Outcome::jobs_disabled()));
                 return;
             };
             let Some(report) = runner.status(job) else {
-                enqueue_response(conn, token, ctx, &reply(Outcome::unknown_job(job)));
+                enqueue_response(conn, ctx, &reply(Outcome::unknown_job(job)));
                 return;
             };
             let terminal = matches!(report.state, "completed" | "cancelled" | "failed");
-            if terminal || started.elapsed() >= RESULT_WAIT_TIMEOUT {
-                enqueue_response(conn, token, ctx, &reply(Outcome::job_result(&report)));
+            if terminal || ctx.now.saturating_duration_since(started) >= JOB_WAIT_TIMEOUT {
+                enqueue_response(conn, ctx, &reply(Outcome::job_result(&report)));
             } else {
                 conn.active = Some(Active::ResultWait { id, job, started });
             }
@@ -1206,9 +1047,8 @@ fn poll_active(conn: &mut Conn, token: u64, ctx: &mut Ctx<'_>, pool: &Arc<ServeP
 }
 
 /// Write as much pending output as the socket will take; progress resets
-/// the stall clock, and a drained `closing`/`eof` connection is condemned
-/// (the reap pass closes it).
-fn flush_conn(conn: &mut Conn, ctx: &mut Ctx<'_>) {
+/// the stall clock, and a drained `closing` connection is condemned.
+fn flush_conn(conn: &mut Conn, ctx: &mut Ctx) {
     if conn.dead {
         return;
     }
@@ -1229,11 +1069,10 @@ fn flush_conn(conn: &mut Conn, ctx: &mut Ctx<'_>) {
                 }
                 Ok(n) => {
                     conn.out.drain(..n);
-                    *ctx.buffered_total -= n;
+                    ctx.buffered_total -= n;
                     ctx.stats.bytes_written.fetch_add(n as u64, Ordering::Relaxed);
-                    let now = Instant::now();
-                    conn.stalled_since = Some(now);
-                    conn.last_activity = now;
+                    conn.stalled_since = ctx.now;
+                    conn.last_activity = ctx.now;
                 }
                 Err(e) if is_wouldblock(e.kind()) => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -1244,19 +1083,56 @@ fn flush_conn(conn: &mut Conn, ctx: &mut Ctx<'_>) {
             }
         }
     }
-    if conn.out.is_empty() {
-        conn.stalled_since = None;
-        if conn.closing {
-            let _ = conn.stream.shutdown(Shutdown::Write);
-            // Discard any request bytes the client pipelined after the
-            // goodbye line: closing a socket with unread data makes the
-            // kernel send RST, which would destroy the in-flight notice
-            // before a polite client could read it.
-            let mut scratch = [0u8; 4096];
-            while matches!((&conn.stream).read(&mut scratch), Ok(n) if n > 0) {}
+    if conn.out.is_empty() && conn.closing {
+        let _ = conn.stream.shutdown(Shutdown::Write);
+        // Discard any request bytes the client pipelined after the
+        // goodbye line: closing a socket with unread data makes the
+        // kernel send RST, which would destroy the in-flight notice
+        // before a polite client could read it.
+        let mut scratch = [0u8; 4096];
+        while matches!((&conn.stream).read(&mut scratch), Ok(n) if n > 0) {}
+        conn.dead = true;
+    }
+}
+
+/// The two connection deadlines, checked every tick; both count
+/// `connections_timed_out`.
+///
+/// * Write stall: pending output the socket took none of for
+///   `write_timeout` means the client stopped reading, so the connection
+///   is dropped without a notice it would not drain.
+/// * Idle: a connection with nothing in flight, queued or buffered, quiet
+///   for `idle_timeout`, gets an in-band `deadline-exceeded` notice and
+///   closes. A job follower or a parked `wait` is not idle.
+fn check_deadlines(conn: &mut Conn, ctx: &mut Ctx) {
+    if conn.dead {
+        return;
+    }
+    if !conn.out.is_empty() {
+        if ctx.now.saturating_duration_since(conn.stalled_since) >= ctx.config.write_timeout {
+            ctx.stats.timed_out.fetch_add(1, Ordering::Relaxed);
             conn.dead = true;
         }
+        return;
     }
+    // Closing or half-closed connections are on their way out already.
+    let quiet = !conn.closing && !conn.eof && conn.active.is_none() && conn.inbox.is_empty();
+    let idle_for = ctx.now.saturating_duration_since(conn.last_activity);
+    if !quiet || idle_for < ctx.config.idle_timeout {
+        return;
+    }
+    ctx.stats.timed_out.fetch_add(1, Ordering::Relaxed);
+    conn.closing = true;
+    let response = Response::error(
+        None,
+        "?",
+        ErrorKind::DeadlineExceeded,
+        format!(
+            "idle for {:?} (limit {:?}); closing session",
+            idle_for, ctx.config.idle_timeout
+        ),
+    );
+    enqueue_response(conn, ctx, &response);
 }
 
 #[cfg(test)]
@@ -1619,14 +1495,20 @@ mod tests {
         reader.read_line(&mut result).unwrap();
         let waited = started.elapsed();
         failpoint::clear("job.iterate");
-        assert!(ack.contains("\"op\":\"optimize-submit\"") && ack.contains("\"ok\":true"), "{ack}");
+        assert!(
+            ack.contains("\"op\":\"optimize-submit\"") && ack.contains("\"ok\":true"),
+            "{ack}"
+        );
         assert!(
             result.contains("\"op\":\"optimize-result\"")
                 && result.contains("\"id\":2")
                 && result.contains("\"state\":\"completed\""),
             "a parked wait must get its result, not the idle notice: {result}"
         );
-        assert!(waited >= 2 * idle_timeout, "the wait must outlive the idle timeout: {waited:?}");
+        assert!(
+            waited >= 2 * idle_timeout,
+            "the wait must outlive the idle timeout: {waited:?}"
+        );
         // Once the answer is out the connection is idle, and the rule applies.
         let mut notice = String::new();
         reader.read_line(&mut notice).unwrap();
