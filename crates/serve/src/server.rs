@@ -1422,6 +1422,7 @@ mod tests {
             }
             sent += 16;
             while pool.served() < sent {
+                assert!(Instant::now() < deadline, "{} of {sent} answered", pool.served());
                 std::thread::sleep(Duration::from_millis(1));
             }
         }
