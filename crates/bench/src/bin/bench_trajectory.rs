@@ -47,8 +47,9 @@
 //!
 //! `BENCH_sketch.json` also gets a `hull_build` record: the median wall
 //! time of APPROXCH (`approx_convex_hull`, the default budget, θ = ε/12)
-//! on the blocked sketch at one thread and at every core, with the hull's
-//! vertex count, passes and truncation.
+//! on the blocked sketch at one thread and at the count `sweep_threads`
+//! resolves for every core (one below APPROXCH's work floor), with the
+//! hull's vertex count, passes and truncation.
 //!
 //! `BENCH_query.json` carries three read-path records:
 //! `query_full_scan` (the unpruned O(n·d) APPROXQUERY scan
@@ -87,7 +88,7 @@ use reecc_core::sketch::ResistanceSketch;
 use reecc_core::{resolve_threads, Precision, QueryEngine, SketchParams};
 use reecc_datasets::{preprocess, Dataset};
 use reecc_graph::Edge;
-use reecc_hull::approxch::{approx_convex_hull, ApproxChOptions};
+use reecc_hull::approxch::{approx_convex_hull, sweep_threads, ApproxChOptions};
 use reecc_opt::{
     screen_edges, shortlist, simple_greedy_with_diagnostics, CandidateEvaluator,
     CandidateScore, Problem, SimpleOptions, CONFIRM,
@@ -221,9 +222,10 @@ fn main() {
     let query_threads = resolve_threads(0);
     eprintln!("assembling the query engine (hull + panel) from the blocked sketch ...");
     let theta = (eps / 12.0).clamp(1e-6, 0.999);
-    // APPROXCH on the blocked sketch, on one thread and on every core. Its
-    // gate: both runs return the same `HullResult`, bit for bit.
-    let hull_threads = resolve_threads(0);
+    // APPROXCH on the blocked sketch, on one thread and on the threads it
+    // runs on when given every core. Its gate: both runs return the same
+    // `HullResult`, bit for bit.
+    let hull_threads = sweep_threads(&blocked.point_view(), 0);
     let hull_at = |threads: usize| {
         let opts = ApproxChOptions {
             max_vertices: Some(default_hull_budget(n)),

@@ -76,7 +76,9 @@ pub struct PrunedScan {
     pub value: f64,
     /// The lowest node id attaining it.
     pub farthest: usize,
-    /// Nodes whose distance was computed (`1..=n`).
+    /// Nodes the scan took, in visiting order, before its bound stopped
+    /// it (`1..=n`); the nodes past the stop point whose distances were
+    /// computed alongside, in the same lane group, are not counted.
     pub evaluated: usize,
 }
 
@@ -333,10 +335,18 @@ impl HullPanel {
     /// `(‖x_s‖ + ‖x_t‖)²`; once that bound, widened by a rounding slack of
     /// `8(d+8)` machine epsilons, falls strictly below the best distance
     /// so far, no later node can reach or tie it and the scan stops. A NaN
-    /// bound never stops the scan. Each evaluated node uses the same
-    /// [`vector::dist_sq`] as the full scan, and ties go to the lowest id,
-    /// which is the full scan's first maximum in index order. `sketch`
-    /// must be the one the panel was built from.
+    /// bound never stops the scan. Ties go to the lowest id, which is the
+    /// full scan's first maximum in index order. `sketch` must be the one
+    /// the panel was built from.
+    ///
+    /// The distances of the next [`vector::LANES`] nodes in the order are
+    /// computed together by [`vector::dist_sq_lanes`], each lane the bits
+    /// of the full scan's `dist_sq(x_s, x_t)`. They are then taken in
+    /// order, each only if its own bound has not stopped the scan: a node
+    /// past the stop point is computed but never taken, so `value`,
+    /// `farthest` and `evaluated` are those of a scan that computes one
+    /// node at a time. The last `n mod 8` nodes take [`vector::dist_sq`]
+    /// one by one.
     ///
     /// # Panics
     ///
@@ -347,18 +357,48 @@ impl HullPanel {
         let src = sketch.embedding(s);
         let src_root = self.node_norms[s].sqrt();
         let slack = 1.0 + 8.0 * (self.d as f64 + 8.0) * f64::EPSILON;
+        let stops = |root: f64, best: f64| {
+            let reach = src_root + root;
+            reach * reach * slack < best
+        };
+        let keep = |best: (f64, usize), t: u32, r: f64| {
+            let t = t as usize;
+            if r > best.0 || (r == best.0 && t < best.1) {
+                (r, t)
+            } else {
+                best
+            }
+        };
         let mut best = (f64::NEG_INFINITY, 0usize);
         let mut evaluated = 0;
-        for (&t, &root) in self.by_norm.iter().zip(&self.by_norm_roots) {
-            let reach = src_root + root;
-            if reach * reach * slack < best.0 {
-                break;
+        let full = self.by_norm.len() / vector::LANES * vector::LANES;
+        'scan: {
+            let groups = self
+                .by_norm
+                .chunks_exact(vector::LANES)
+                .zip(self.by_norm_roots.chunks_exact(vector::LANES));
+            for (ids, roots) in groups {
+                // A group whose first node already stops the scan is not
+                // computed.
+                if stops(roots[0], best.0) {
+                    break 'scan;
+                }
+                let rows = std::array::from_fn(|l| sketch.embedding(ids[l] as usize));
+                let dists = vector::dist_sq_lanes(rows, src);
+                for ((&t, &root), r) in ids.iter().zip(roots).zip(dists) {
+                    if stops(root, best.0) {
+                        break 'scan;
+                    }
+                    evaluated += 1;
+                    best = keep(best, t, r);
+                }
             }
-            let t = t as usize;
-            let r = vector::dist_sq(src, sketch.embedding(t));
-            evaluated += 1;
-            if r > best.0 || (r == best.0 && t < best.1) {
-                best = (r, t);
+            for (&t, &root) in self.by_norm[full..].iter().zip(&self.by_norm_roots[full..]) {
+                if stops(root, best.0) {
+                    break;
+                }
+                evaluated += 1;
+                best = keep(best, t, vector::dist_sq(src, sketch.embedding(t as usize)));
             }
         }
         PrunedScan { value: best.0, farthest: best.1, evaluated }
@@ -445,6 +485,71 @@ mod tests {
         // (1 + √½)² < 4.
         let scan = panel.eccentricity_pruned(&sketch, 1);
         assert_eq!((scan.value, scan.farthest, scan.evaluated), (4.0, 3, 7));
+    }
+
+    /// Coordinates for the proptest: few values, so equal rows and exact
+    /// ties in distance are common.
+    const COORDS: [f64; 6] = [-1.0, -0.5, -0.0, 0.0, 0.5, 1.5];
+
+    /// `(n, d, node-major coordinates)`: every node's row drawn from a pool
+    /// of at most `n` distinct rows, so duplicates land in different lane
+    /// groups and in the tail past the last group.
+    fn embedding() -> impl proptest::Strategy<Value = (usize, usize, Vec<f64>)> {
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+        (1usize..=40, 1usize..=12, 1usize..=40)
+            .prop_flat_map(|(n, d, distinct)| {
+                let distinct = distinct.min(n);
+                (Just(n), Just(d), vec(0..COORDS.len(), distinct * d), vec(0..distinct, n))
+            })
+            .prop_map(|(n, d, pool, pick)| {
+                let xs = pick.iter().flat_map(|&k| &pool[k * d..(k + 1) * d]);
+                (n, d, xs.map(|&c| COORDS[c]).collect())
+            })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The lane scan against the full scan's bits and against a scan
+        /// that computes one node at a time, for every source: `n` covers
+        /// every tail length `n mod 8`.
+        #[test]
+        fn pruned_scan_matches_the_full_scan_and_a_one_node_scan((n, d, xs) in embedding()) {
+            use crate::sketch::SketchDiagnostics;
+            let rows = (0..d).map(|i| (0..n).map(|u| xs[u * d + i]).collect()).collect();
+            let diagnostics =
+                SketchDiagnostics { rows: d, converged_first_try: d, ..Default::default() };
+            let sketch = ResistanceSketch::from_parts(rows, n, 0.5, diagnostics).unwrap();
+            let panel = HullPanel::build(&sketch, &[0]);
+            let x = |u: usize| &xs[u * d..(u + 1) * d];
+            let roots: Vec<f64> = (0..n).map(|u| vector::dot(x(u), x(u)).sqrt()).collect();
+            let mut order: Vec<usize> = (0..n).collect();
+            order.sort_by(|&a, &b| roots[b].total_cmp(&roots[a]).then(a.cmp(&b)));
+            let slack = 1.0 + 8.0 * (d as f64 + 8.0) * f64::EPSILON;
+            for s in 0..n {
+                let scan = panel.eccentricity_pruned(&sketch, s);
+                let (value, farthest) = sketch.eccentricity(s);
+                proptest::prop_assert_eq!(
+                    (scan.value.to_bits(), scan.farthest),
+                    (value.to_bits(), farthest)
+                );
+                let mut best = (f64::NEG_INFINITY, 0usize);
+                let mut evaluated = 0;
+                for &t in &order {
+                    let reach = roots[s] + roots[t];
+                    if reach * reach * slack < best.0 {
+                        break;
+                    }
+                    let r = vector::dist_sq(x(s), x(t));
+                    evaluated += 1;
+                    if r > best.0 || (r == best.0 && t < best.1) {
+                        best = (r, t);
+                    }
+                }
+                proptest::prop_assert_eq!(scan.evaluated, evaluated);
+            }
+        }
     }
 
     #[test]

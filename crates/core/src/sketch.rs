@@ -809,7 +809,7 @@ impl ResistanceSketch {
     /// The pass both rank-1 updates share: column `j` of the new sketch is
     /// `x_j + dir·w_j`, written straight into a fresh buffer, so the old
     /// sketch is read once and the new one written once. Every
-    /// [`vector::NORM_LANES`] columns, the block just written (still in
+    /// [`vector::LANES`] columns, the block just written (still in
     /// cache) gets its squared norms from [`vector::column_norms_sq`].
     ///
     /// Each entry is `c + g·w_j`, unfused: WAL replay and
@@ -818,7 +818,7 @@ impl ResistanceSketch {
     /// turn a `−0.0` entry into `+0.0`.
     fn rank_one(&self, dir: &[f64], potentials: &[f64]) -> (ResistanceSketch, Vec<f64>) {
         let d = self.d;
-        let block = vector::NORM_LANES;
+        let block = vector::LANES;
         let mut data = Vec::with_capacity(self.n * d);
         let mut norms = vec![0.0; self.n];
         let blocks = self

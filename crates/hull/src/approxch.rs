@@ -90,13 +90,7 @@ pub fn approx_convex_hull<P: Points + Sync>(
             truncated: false,
         };
     }
-    let threads = if n.saturating_mul(points.dim()) < PARALLEL_MIN_WORK {
-        1
-    } else if opts.threads == 0 {
-        std::thread::available_parallelism().map_or(1, |p| p.get())
-    } else {
-        opts.threads
-    };
+    let threads = sweep_threads(points, opts.threads);
 
     // Seed with a diameter pair: both endpoints of a farthest sweep are
     // hull vertices of the sweep geometry and give the oracle a spread
@@ -171,6 +165,20 @@ pub fn approx_convex_hull<P: Points + Sync>(
     }
 
     HullResult { vertices, diameter_estimate: diameter, passes, truncated }
+}
+
+/// The threads [`approx_convex_hull`] splits its full-`n` sweeps over
+/// when asked for `requested` ([`ApproxChOptions::threads`], `0` =
+/// available parallelism): one when `n·d < 2^19`, where a thread spawn
+/// per sweep costs more than it saves, else the resolved request.
+pub fn sweep_threads<P: Points + ?Sized>(points: &P, requested: usize) -> usize {
+    if points.len().saturating_mul(points.dim()) < PARALLEL_MIN_WORK {
+        1
+    } else if requested == 0 {
+        std::thread::available_parallelism().map_or(1, |p| p.get())
+    } else {
+        requested
+    }
 }
 
 /// Convenience check used by tests and callers that want the Lemma 5.3

@@ -2,13 +2,19 @@
 //! runs over it.
 //!
 //! A sweep (the farthest point from a query, the point extreme in a
-//! direction) evaluates 8 consecutive points per step, each as an
-//! independent lane that keeps [`dot`]'s or [`dist_sq`]'s exact fold, and
-//! can split the index range into contiguous chunks, one per thread,
-//! whose winners merge in index order. Neither the lanes nor the chunks
-//! change a bit of the answer (DESIGN §16).
+//! direction) evaluates 8 consecutive points per step with `reecc-linalg`'s
+//! [`dot_lanes`] or [`dist_sq_lanes`], each point an independent lane that
+//! keeps [`dot`]'s or [`dist_sq`]'s exact fold, and can split the index
+//! range into contiguous chunks, one per thread, whose winners merge in
+//! index order. Neither the lanes nor the chunks change a bit of the answer
+//! (DESIGN §16).
 
 use std::ops::Range;
+
+/// The one-chain kernels every lane matches, re-exported for the hull's
+/// callers and tests.
+pub use reecc_linalg::vector::{dist_sq, dot};
+use reecc_linalg::vector::{dist_sq_lanes, dot_lanes, LANES};
 
 /// Read-only access to a point-major point collection.
 ///
@@ -171,66 +177,6 @@ impl PointSet {
     #[inline]
     pub fn point(&self, i: usize) -> &[f64] {
         &self.data[i * self.dim..(i + 1) * self.dim]
-    }
-}
-
-/// Squared Euclidean distance between two equal-length slices.
-#[inline]
-pub fn dist_sq(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
-}
-
-/// Dot product of two equal-length slices.
-#[inline]
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
-/// Points a lane kernel evaluates together, each as its own accumulator
-/// chain.
-pub(crate) const LANES: usize = 8;
-
-/// `dot(a, rows[l])` for [`LANES`] rows at once. Each lane is [`dot`]'s
-/// fold: it starts at `-0.0` (`Iterator::sum`'s starting value), takes
-/// the elements in order, and multiplies then adds without fusing, so it
-/// is `to_bits`-equal to `dot(a, rows[l])`. The lanes only break one
-/// dependent chain of `d` adds into [`LANES`] independent ones.
-#[inline]
-fn dot_lanes(a: &[f64], rows: [&[f64]; LANES]) -> [f64; LANES] {
-    let mut acc = [-0.0f64; LANES];
-    for_each_column(a, rows, |x, column| {
-        for (s, v) in acc.iter_mut().zip(column) {
-            *s += x * v;
-        }
-    });
-    acc
-}
-
-/// `dist_sq(rows[l], b)` for [`LANES`] rows at once, each lane
-/// [`dist_sq`]'s fold (see [`dot_lanes`]).
-#[inline]
-fn dist_sq_lanes(rows: [&[f64]; LANES], b: &[f64]) -> [f64; LANES] {
-    let mut acc = [-0.0f64; LANES];
-    for_each_column(b, rows, |y, column| {
-        for (s, v) in acc.iter_mut().zip(column) {
-            let diff = v - y;
-            *s += diff * diff;
-        }
-    });
-    acc
-}
-
-/// Calls `f(a[t], [rows[0][t], …, rows[7][t]])` for `t` in order. One
-/// iterator per row keeps each row's cursor in a register, which the
-/// compiler does not manage for eight indexed slices.
-#[inline(always)]
-fn for_each_column(a: &[f64], rows: [&[f64]; LANES], mut f: impl FnMut(f64, [f64; LANES])) {
-    let [r0, r1, r2, r3, r4, r5, r6, r7] = rows.map(|r| &r[..a.len()]);
-    let columns = a.iter().zip(r0).zip(r1).zip(r2).zip(r3).zip(r4).zip(r5).zip(r6).zip(r7);
-    for ((((((((&x, &v0), &v1), &v2), &v3), &v4), &v5), &v6), &v7) in columns {
-        f(x, [v0, v1, v2, v3, v4, v5, v6, v7]);
     }
 }
 
@@ -487,40 +433,6 @@ mod tests {
                 _ => rng.gen_range(-1.0..1.0),
             })
             .collect()
-    }
-
-    #[test]
-    fn lane_kernels_match_dot_and_dist_sq_bitwise() {
-        for d in [1usize, 2, 7, 64, 13] {
-            let a = coords(d, d as u64);
-            let flat = coords(LANES * d, 100 + d as u64);
-            let rows: [&[f64]; LANES] = std::array::from_fn(|l| &flat[l * d..(l + 1) * d]);
-            let dots = dot_lanes(&a, rows);
-            let dists = dist_sq_lanes(rows, &a);
-            for l in 0..LANES {
-                assert_eq!(dots[l].to_bits(), dot(&a, rows[l]).to_bits(), "dot d={d} l={l}");
-                assert_eq!(
-                    dists[l].to_bits(),
-                    dist_sq(rows[l], &a).to_bits(),
-                    "dist_sq d={d} l={l}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn lane_kernels_keep_negative_zero() {
-        // Every product is -0.0: `dot`'s fold from -0.0 gives -0.0, and so
-        // must each lane (a fold from +0.0 would give +0.0).
-        for d in [1usize, 2, 7, 64] {
-            let a: Vec<f64> = (0..d).map(|t| if t % 2 == 0 { 1.0 } else { -2.0 }).collect();
-            let row: Vec<f64> = (0..d).map(|t| if t % 2 == 0 { -0.0 } else { 0.0 }).collect();
-            let expect = dot(&a, &row);
-            assert!(expect == 0.0 && expect.is_sign_negative());
-            for v in dot_lanes(&a, [row.as_slice(); LANES]) {
-                assert_eq!(v.to_bits(), expect.to_bits(), "d={d}");
-            }
-        }
     }
 
     /// The sweeps against plain serial scans over `dot` and `dist_sq`, on

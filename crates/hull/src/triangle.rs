@@ -14,7 +14,9 @@
 //! iterations to reach gap `ε·D` is `O(1/ε²)` — this is the `1/θ²` factor
 //! in Lemma 5.3's running time.
 
-use crate::points::{dist_sq, dot, Points, LANES};
+use reecc_linalg::vector::LANES;
+
+use crate::points::{dist_sq, dot, Points};
 
 /// Options for the membership test.
 #[derive(Debug, Clone, Copy)]

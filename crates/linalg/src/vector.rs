@@ -8,6 +8,10 @@
 //! `f64`-grade conditioning in both precisions, and the summation order
 //! is the same in both. The remaining kernels are `f64` only. Panics on
 //! length mismatch are hard-asserted.
+//!
+//! The lane kernels ([`column_norms_sq`], [`dot_lanes`], [`dist_sq_lanes`])
+//! compute [`LANES`] results at once, each lane `to_bits`-equal to the
+//! one-chain kernel it stands for.
 
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 
@@ -86,15 +90,15 @@ pub fn norm2_sq(a: &[f64]) -> f64 {
     dot(a, a)
 }
 
-/// How many columns [`column_norms_sq`] advances together: each column is
-/// one independent accumulator chain.
-pub const NORM_LANES: usize = 8;
+/// How many vectors a lane kernel advances together: each is one
+/// independent accumulator chain.
+pub const LANES: usize = 8;
 
 /// Squared norms `out[k] = ‖x_k‖²` of `out.len()` consecutive length-`d`
 /// vectors packed in `xs` (node-major sketch columns).
 ///
 /// A lone `dot(x, x)` is one dependent chain of `d` adds, so it runs at
-/// the add latency. Here [`NORM_LANES`] columns run side by side as
+/// the add latency. Here [`LANES`] columns run side by side as
 /// independent lanes. Each lane keeps `dot`'s in-order chain, so every
 /// result is `to_bits`-equal to [`norm2_sq`] of its column. The columns
 /// past the last full group of lanes take [`norm2_sq`] itself.
@@ -108,13 +112,13 @@ pub fn column_norms_sq(xs: &[f64], d: usize, out: &mut [f64]) {
         out.fill(norm2_sq(&[]));
         return;
     }
-    let full = out.len() / NORM_LANES * NORM_LANES;
+    let full = out.len() / LANES * LANES;
     for (group, norms) in
-        xs[..full * d].chunks_exact(NORM_LANES * d).zip(out.chunks_exact_mut(NORM_LANES))
+        xs[..full * d].chunks_exact(LANES * d).zip(out.chunks_exact_mut(LANES))
     {
-        let cols: [&[f64]; NORM_LANES] = std::array::from_fn(|b| &group[b * d..(b + 1) * d]);
+        let cols: [&[f64]; LANES] = std::array::from_fn(|b| &group[b * d..(b + 1) * d]);
         // `Iterator::sum`'s starting value, so each lane is `dot`'s fold.
-        let mut acc = [-0.0f64; NORM_LANES];
+        let mut acc = [-0.0f64; LANES];
         for t in 0..d {
             for (a, col) in acc.iter_mut().zip(&cols) {
                 let x = col[t];
@@ -202,6 +206,61 @@ pub fn dist(a: &[f64], b: &[f64]) -> f64 {
     dist_sq(a, b).sqrt()
 }
 
+/// `dot(a, rows[l])` for [`LANES`] rows at once. Each lane is [`dot`]'s
+/// fold: it starts at `-0.0` (`Iterator::sum`'s starting value), takes
+/// the elements in order, and multiplies then adds without fusing, so it
+/// is `to_bits`-equal to `dot(a, rows[l])`. The lanes only break one
+/// dependent chain of `d` adds into [`LANES`] independent ones.
+///
+/// # Panics
+///
+/// Panics if a row's length differs from `a`'s.
+#[inline]
+pub fn dot_lanes(a: &[f64], rows: [&[f64]; LANES]) -> [f64; LANES] {
+    assert!(rows.iter().all(|r| r.len() == a.len()), "dot_lanes: length mismatch");
+    let mut acc = [-0.0f64; LANES];
+    for_each_column(a, rows, |x, column| {
+        for (s, v) in acc.iter_mut().zip(column) {
+            *s += x * v;
+        }
+    });
+    acc
+}
+
+/// `dist_sq(rows[l], b)` for [`LANES`] rows at once, each lane
+/// [`dist_sq`]'s fold (see [`dot_lanes`]). IEEE subtraction negates
+/// exactly, so each lane is also `to_bits`-equal to `dist_sq(b, rows[l])`
+/// unless it is NaN.
+///
+/// # Panics
+///
+/// Panics if a row's length differs from `b`'s.
+#[inline]
+pub fn dist_sq_lanes(rows: [&[f64]; LANES], b: &[f64]) -> [f64; LANES] {
+    assert!(rows.iter().all(|r| r.len() == b.len()), "dist_sq_lanes: length mismatch");
+    let mut acc = [-0.0f64; LANES];
+    for_each_column(b, rows, |y, column| {
+        for (s, v) in acc.iter_mut().zip(column) {
+            let diff = v - y;
+            *s += diff * diff;
+        }
+    });
+    acc
+}
+
+/// Calls `f(a[t], [rows[0][t], …, rows[7][t]])` for `t` in order. One
+/// iterator per row keeps each row's cursor in a register, which the
+/// compiler does not manage for eight indexed slices; cutting every row
+/// to `a.len()` gives the nine iterators one trip count.
+#[inline(always)]
+fn for_each_column(a: &[f64], rows: [&[f64]; LANES], mut f: impl FnMut(f64, [f64; LANES])) {
+    let [r0, r1, r2, r3, r4, r5, r6, r7] = rows.map(|r| &r[..a.len()]);
+    let columns = a.iter().zip(r0).zip(r1).zip(r2).zip(r3).zip(r4).zip(r5).zip(r6).zip(r7);
+    for ((((((((&x, &v0), &v1), &v2), &v3), &v4), &v5), &v6), &v7) in columns {
+        f(x, [v0, v1, v2, v3, v4, v5, v6, v7]);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,7 +278,7 @@ mod tests {
     fn column_norms_match_dot_bitwise_with_a_nan_column() {
         // 19 columns: two full lane groups plus a 3-column tail. Values
         // of mixed sign and magnitude so rounding differs between orders.
-        let count = 2 * NORM_LANES + 3;
+        let count = 2 * LANES + 3;
         for d in [1usize, 2, 7, 64] {
             let mut xs: Vec<f64> = (0..count * d)
                 .map(|i| {
@@ -243,6 +302,100 @@ mod tests {
         let mut empty = [1.0; 3];
         column_norms_sq(&[], 0, &mut empty);
         assert!(empty.iter().all(|&x| x.to_bits() == dot::<f64>(&[], &[]).to_bits()));
+    }
+
+    /// Seeded coordinates in `[-1, 1)` with a sprinkling of exact zeros of
+    /// both signs.
+    fn coords(len: usize, seed: u64) -> Vec<f64> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        (0..len)
+            .map(|i| match i % 11 {
+                3 => 0.0,
+                7 => -0.0,
+                _ => rng.gen_range(-1.0..1.0),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn lane_kernels_match_dot_and_dist_sq_bitwise() {
+        for d in [1usize, 2, 7, 64, 13] {
+            let a = coords(d, d as u64);
+            let flat = coords(LANES * d, 100 + d as u64);
+            let rows: [&[f64]; LANES] = std::array::from_fn(|l| &flat[l * d..(l + 1) * d]);
+            let dots = dot_lanes(&a, rows);
+            let dists = dist_sq_lanes(rows, &a);
+            for l in 0..LANES {
+                assert_eq!(dots[l].to_bits(), dot(&a, rows[l]).to_bits(), "dot d={d} l={l}");
+                assert_eq!(
+                    dists[l].to_bits(),
+                    dist_sq(rows[l], &a).to_bits(),
+                    "dist_sq d={d} l={l}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn lane_kernels_keep_negative_zero() {
+        // Every product is -0.0: `dot`'s fold from -0.0 gives -0.0, and so
+        // must each lane (a fold from +0.0 would give +0.0).
+        for d in [1usize, 2, 7, 64] {
+            let a: Vec<f64> = (0..d).map(|t| if t % 2 == 0 { 1.0 } else { -2.0 }).collect();
+            let row: Vec<f64> = (0..d).map(|t| if t % 2 == 0 { -0.0 } else { 0.0 }).collect();
+            let expect = dot(&a, &row);
+            assert!(expect == 0.0 && expect.is_sign_negative());
+            for v in dot_lanes(&a, [row.as_slice(); LANES]) {
+                assert_eq!(v.to_bits(), expect.to_bits(), "d={d}");
+            }
+        }
+    }
+
+    /// `dist_sq_lanes` computes `row − b`; a caller after `dist_sq(b, row)`
+    /// gets the same bits, since `x − y` and `y − x` round to values of
+    /// opposite sign and equal magnitude, and squaring drops the sign.
+    /// Pinned on exact ties of both signed zeros, equal rows, and a NaN in
+    /// a row or in `b`, which must come out NaN in every order.
+    #[test]
+    fn dist_sq_lanes_match_both_operand_orders() {
+        for d in [1usize, 3, 13] {
+            let b = coords(d, 500 + d as u64);
+            let mut flat = coords(LANES * d, 600 + d as u64);
+            flat[..d].copy_from_slice(&b);
+            flat[d..2 * d].iter_mut().zip(&b).for_each(|(x, &y)| *x = -y);
+            flat[2 * d..3 * d]
+                .iter_mut()
+                .zip(&b)
+                .for_each(|(x, &y)| *x = if y == 0.0 { -y } else { y });
+            flat[4 * d + d / 2] = f64::NAN;
+            for nan_in_b in [false, true] {
+                let mut b = b.clone();
+                if nan_in_b {
+                    b[d - 1] = f64::NAN;
+                }
+                let rows: [&[f64]; LANES] = std::array::from_fn(|l| &flat[l * d..(l + 1) * d]);
+                for (l, got) in dist_sq_lanes(rows, &b).into_iter().enumerate() {
+                    for want in [dist_sq(rows[l], &b), dist_sq(&b, rows[l])] {
+                        if want.is_nan() {
+                            assert!(got.is_nan(), "d={d} l={l}: {got} for a NaN distance");
+                        } else {
+                            assert_eq!(got.to_bits(), want.to_bits(), "d={d} l={l}");
+                        }
+                    }
+                    assert_eq!(got.is_nan(), nan_in_b || l == 4, "d={d} l={l}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "length mismatch")]
+    fn lane_kernels_reject_a_short_row() {
+        let (a, short) = ([1.0, 2.0], [1.0]);
+        let mut rows = [&a[..]; LANES];
+        rows[5] = &short;
+        let _ = dist_sq_lanes(rows, &a);
     }
 
     #[test]
