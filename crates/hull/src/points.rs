@@ -11,10 +11,7 @@
 
 use std::ops::Range;
 
-/// The one-chain kernels every lane matches, re-exported for the hull's
-/// callers and tests.
-pub use reecc_linalg::vector::{dist_sq, dot};
-use reecc_linalg::vector::{dist_sq_lanes, dot_lanes, LANES};
+use reecc_linalg::vector::{dist_sq, dist_sq_lanes, dot, dot_lanes, LANES};
 
 /// Read-only access to a point-major point collection.
 ///

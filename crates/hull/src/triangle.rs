@@ -14,9 +14,9 @@
 //! iterations to reach gap `ε·D` is `O(1/ε²)` — this is the `1/θ²` factor
 //! in Lemma 5.3's running time.
 
-use reecc_linalg::vector::LANES;
+use reecc_linalg::vector::{dist_sq, dot, LANES};
 
-use crate::points::{dist_sq, dot, Points};
+use crate::points::Points;
 
 /// Options for the membership test.
 #[derive(Debug, Clone, Copy)]
@@ -358,8 +358,8 @@ mod tests {
                 assert!(gap > 0.0);
                 // Witness must satisfy d(x, v) < d(p, v) for all vertices.
                 for i in 0..4 {
-                    let dxv = crate::points::dist_sq(&witness, ps.point(i));
-                    let dpv = crate::points::dist_sq(&[5.0, 1.0], ps.point(i));
+                    let dxv = dist_sq(&witness, ps.point(i));
+                    let dpv = dist_sq(&[5.0, 1.0], ps.point(i));
                     assert!(dxv < dpv, "witness condition violated at vertex {i}");
                 }
             }

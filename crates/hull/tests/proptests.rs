@@ -6,6 +6,7 @@ use reecc_hull::approxch::{approx_convex_hull, verify_coverage, ApproxChOptions}
 use reecc_hull::exact2d::convex_hull_2d;
 use reecc_hull::triangle::{membership, Membership, TriangleOptions};
 use reecc_hull::{PointSet, Points};
+use reecc_linalg::vector::dist_sq;
 
 fn points_2d() -> impl Strategy<Value = Vec<Vec<f64>>> {
     proptest::collection::vec(proptest::collection::vec(-100.0f64..100.0, 2), 3..50)
@@ -35,7 +36,7 @@ proptest! {
             let pv = ps.point(v);
             let on_exact = exact.iter().any(|&e| {
                 let pe = ps.point(e);
-                reecc_hull::points::dist_sq(pv, pe) < 1e-18
+                dist_sq(pv, pe) < 1e-18
             });
             prop_assert!(on_exact, "approx vertex {} is not an exact hull vertex", v);
         }
@@ -85,8 +86,8 @@ proptest! {
             Membership::Outside { witness, gap } => {
                 prop_assert!(gap > 0.0);
                 for &v in &hull {
-                    let dxv = reecc_hull::points::dist_sq(&witness, ps.point(v));
-                    let dqv = reecc_hull::points::dist_sq(&q, ps.point(v));
+                    let dxv = dist_sq(&witness, ps.point(v));
+                    let dqv = dist_sq(&q, ps.point(v));
                     prop_assert!(dxv < dqv + 1e-9, "witness condition violated");
                 }
             }
