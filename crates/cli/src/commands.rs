@@ -538,10 +538,9 @@ fn serve(
                 .map_err(|e| CliError::Io(format!("cannot listen on {addr}: {e}")))?;
             eprintln!(
                 "serving {path} on {} ({threads} worker(s), queue depth {queue_depth}, \
-                 cap {} connection(s), tier {})",
+                 cap {} connection(s))",
                 server.local_addr(),
-                transport.max_connections,
-                pool.tier_name()
+                transport.max_connections
             );
             // Park cheaply until a termination signal, then drain: stop the
             // reactor (closing every connection), finish queued work, and
@@ -567,8 +566,7 @@ fn serve(
         None => {
             eprintln!(
                 "serving {path} on stdin/stdout ({threads} worker(s), queue depth \
-                 {queue_depth}, tier {}); one JSON request per line",
-                pool.tier_name()
+                 {queue_depth}); one JSON request per line"
             );
             let stdin = std::io::stdin();
             let stdout = std::io::stdout();
@@ -673,10 +671,14 @@ mod tests {
         run(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
     }
 
+    /// A fresh file per call: tests run in parallel, and rewriting one
+    /// shared file let a test read it while another had just truncated it.
     fn temp_graph() -> String {
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
         let dir = std::env::temp_dir().join(format!("reecc-cli-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("g.txt");
+        let k = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let path = dir.join(format!("g{k}.txt"));
         let g = barabasi_albert(60, 2, 9);
         let mut buf = Vec::new();
         reecc_graph::io::write_edge_list(&g, &mut buf).unwrap();

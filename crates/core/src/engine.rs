@@ -30,7 +30,7 @@ use reecc_hull::approxch::{approx_convex_hull, ApproxChOptions};
 use reecc_linalg::cg::CgWorkspace;
 use reecc_linalg::{CgOptions, Preconditioner};
 
-use crate::panel::HullPanel;
+use crate::panel::NormOrder;
 use crate::query::default_hull_budget;
 use crate::sketch::{ResistanceSketch, SketchParams};
 use crate::update::{
@@ -47,7 +47,8 @@ pub struct EccentricityAnswer {
     pub farthest: usize,
 }
 
-/// A built sketch + hull pair answering repeated queries.
+/// A built sketch, its hull and its norm order, answering repeated
+/// queries.
 ///
 /// The engine is a plain owned value: every query method takes `&self`
 /// and allocates any scratch space it needs locally (see
@@ -62,7 +63,7 @@ pub struct QueryEngine {
     graph: Graph,
     sketch: ResistanceSketch,
     hull: Vec<usize>,
-    panel: HullPanel,
+    norms: NormOrder,
     params: SketchParams,
     /// [`resolve_threads`]`(params.threads)`, resolved by the first batch
     /// that threads (see [`Self::batch_threads`]).
@@ -132,8 +133,8 @@ impl QueryEngine {
     }
 
     /// [`Self::from_parts`], with the sketch's squared column norms when a
-    /// rank-1 write's pass already took them (so the panel skips its own
-    /// sweep over the sketch).
+    /// rank-1 write's pass already took them (so the norm order skips its
+    /// own sweep over the sketch).
     fn assemble(
         graph: Graph,
         sketch: ResistanceSketch,
@@ -156,15 +157,15 @@ impl QueryEngine {
         if let Some(&bad) = hull.iter().find(|&&v| v >= n) {
             return Err(CoreError::NodeOutOfRange { node: bad, n });
         }
-        // The panel is rebuilt on *every* construction path — fresh
+        // The norm order is rebuilt on *every* construction path — fresh
         // build, snapshot restore, and the rank-1 mutations — so the
-        // serving layer's epoch swaps can never serve a panel packed from
-        // a previous epoch's embeddings.
-        let panel = match norms {
-            Some(norms) => HullPanel::with_norms(&sketch, &hull, norms),
-            None => HullPanel::build(&sketch, &hull),
+        // serving layer's epoch swaps can never scan in an order taken
+        // from a previous epoch's embeddings.
+        let norms = match norms {
+            Some(norms) => NormOrder::with_norms(&sketch, norms),
+            None => NormOrder::build(&sketch),
         };
-        Ok(QueryEngine { graph, sketch, hull, panel, params, batch_threads: OnceLock::new() })
+        Ok(QueryEngine { graph, sketch, hull, norms, params, batch_threads: OnceLock::new() })
     }
 
     /// The underlying graph.
@@ -192,47 +193,68 @@ impl QueryEngine {
         self.hull.len()
     }
 
-    /// The packed hull panel (read-path kernels; see [`HullPanel`]).
-    pub fn panel(&self) -> &HullPanel {
-        &self.panel
+    /// The per-node norms and the descending-norm node order the
+    /// eccentricity scan visits (see [`NormOrder`]).
+    pub fn norm_order(&self) -> &NormOrder {
+        &self.norms
     }
 
-    /// FASTQUERY-style eccentricity of `v`: max over the hull boundary,
-    /// `O(l·d)` as one stride-1 sweep of the packed [`HullPanel`] — a
-    /// batch of one through [`HullPanel::sweep_chunk`], bitwise identical
-    /// to the `sketch.eccentricity_over(v, hull)` gather.
+    /// APPROXQUERY eccentricity of `v`: the maximum sketched resistance
+    /// over **all** nodes, by the norm-pruned scan
+    /// ([`NormOrder::eccentricity_pruned`]) on the calling thread. Bitwise
+    /// the answer (value and farthest node) of the `O(n·d)`
+    /// [`ResistanceSketch::eccentricity`], usually from a few percent of
+    /// the nodes (all of them in the worst case, on graphs without a
+    /// low-degree periphery; DESIGN §15.5). The hull is not read, so a
+    /// mutated engine's stale hull cannot change an answer.
     ///
     /// # Panics
     ///
     /// Panics if `v` is out of range.
     pub fn eccentricity(&self, v: usize) -> EccentricityAnswer {
-        let mut out = [(f64::NEG_INFINITY, usize::MAX)];
-        self.panel.sweep_chunk(&self.sketch, &[v], &mut out);
-        let [(value, farthest)] = out;
-        EccentricityAnswer { value, farthest }
+        let scan = self.norms.eccentricity_pruned(&self.sketch, v);
+        EccentricityAnswer { value: scan.value, farthest: scan.farthest }
     }
 
-    /// Batched FASTQUERY: answer a block of sources with panel sweeps
-    /// shared across [`crate::panel::MAX_LANES`]-wide lanes. Sequential
-    /// unless the batch's work (`sources × h × d`) clears a floor of 2¹⁶
-    /// multiply-adds; above it the sources are split over
-    /// [`resolve_threads`]`(params.threads)` contiguous chunks. Every
-    /// answer is bitwise identical to [`Self::eccentricity`] for every
-    /// batch-size × thread-count combination: per-source results are
-    /// independent, and chunking only changes which thread computes them.
+    /// The same as [`Self::eccentricity`], under its former name.
+    pub fn eccentricity_full_scan(&self, v: usize) -> EccentricityAnswer {
+        self.eccentricity(v)
+    }
+
+    /// [`Self::eccentricity`] for a block of sources. Sequential unless
+    /// the batch's worst-case work (`sources × n × d`) clears a floor of
+    /// 2²⁵ multiply-adds; above it the sources are split over
+    /// [`resolve_threads`]`(params.threads)` chunks.
     ///
     /// # Panics
     ///
     /// Panics if a source id is out of range.
     pub fn eccentricity_batch(&self, sources: &[usize]) -> Vec<EccentricityAnswer> {
-        let work = sources.len() * self.panel.len() * self.panel.dim();
-        let threads = self.batch_threads(sources.len(), work, PARALLEL_BATCH_MIN_WORK);
+        let work = sources.len() * self.sketch.node_count() * self.sketch.dimension();
+        let threads = self.batch_threads(sources.len(), work);
         self.eccentricity_batch_with(sources, threads)
+    }
+
+    /// Threads for a default-threaded batch of `sources` whose worst-case
+    /// `work` is known: one for a single source or below
+    /// [`PARALLEL_PRUNED_MIN_WORK`], where a spawn costs more than it
+    /// saves, else [`resolve_threads`]`(params.threads)`, resolved once per
+    /// engine. Resolving `threads: 0` asks the OS (about 20 µs on a 2-vCPU
+    /// Linux VM), so the first batch above the floor asks and every later
+    /// one reuses the answer. Every epoch swap builds a new engine, so a
+    /// changed CPU affinity is picked up at the next epoch.
+    fn batch_threads(&self, sources: usize, work: usize) -> usize {
+        if sources < 2 || work < PARALLEL_PRUNED_MIN_WORK {
+            1
+        } else {
+            *self.batch_threads.get_or_init(|| resolve_threads(self.params.threads))
+        }
     }
 
     /// [`Self::eccentricity_batch`] on exactly `min(threads, sources)`
     /// contiguous source chunks (the determinism test matrix drives this
-    /// directly).
+    /// directly). Each source's scan stays sequential, so no answer's bits
+    /// depend on the batch shape or the thread count.
     ///
     /// # Panics
     ///
@@ -242,82 +264,10 @@ impl QueryEngine {
         sources: &[usize],
         threads: usize,
     ) -> Vec<EccentricityAnswer> {
-        let mut out = vec![(f64::NEG_INFINITY, usize::MAX); sources.len()];
-        fan_out(sources, &mut out, threads, |src, dst| {
-            self.panel.sweep_chunk(&self.sketch, src, dst)
-        });
-        out.into_iter()
-            .map(|(value, farthest)| EccentricityAnswer { value, farthest })
-            .collect()
-    }
-
-    /// APPROXQUERY-style eccentricity: the maximum over **all** nodes,
-    /// for callers that want the hull bypassed — the serving tier for
-    /// mutated live views, whose hull is stale. Runs the panel's
-    /// norm-pruned scan ([`HullPanel::eccentricity_pruned`]) on the
-    /// calling thread: bitwise the answer of the `O(n·d)`
-    /// [`ResistanceSketch::eccentricity`], usually from a few percent of
-    /// the nodes (all of them in the worst case, on graphs without a
-    /// low-degree periphery; DESIGN §15.5).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    pub fn eccentricity_full_scan(&self, v: usize) -> EccentricityAnswer {
-        let scan = self.panel.eccentricity_pruned(&self.sketch, v);
-        EccentricityAnswer { value: scan.value, farthest: scan.farthest }
-    }
-
-    /// Batched full scan: [`Self::eccentricity_full_scan`] for a block
-    /// of sources. Sequential unless the batch's worst-case work
-    /// (`sources × n × d`) clears a floor of 2²⁵ multiply-adds; above it
-    /// the sources are split over [`resolve_threads`]`(params.threads)`
-    /// chunks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a source id is out of range.
-    pub fn eccentricity_full_scan_batch(&self, sources: &[usize]) -> Vec<EccentricityAnswer> {
-        let work = sources.len() * self.sketch.node_count() * self.sketch.dimension();
-        let threads = self.batch_threads(sources.len(), work, PARALLEL_PRUNED_MIN_WORK);
-        self.eccentricity_full_scan_batch_with(sources, threads)
-    }
-
-    /// Threads for a default-threaded batch of `sources` whose worst-case
-    /// `work` is known: one for a single source or below `floor`, where a
-    /// spawn costs more than it saves, else
-    /// [`resolve_threads`]`(params.threads)`, resolved once per engine.
-    /// Resolving `threads: 0` asks the OS (about 20 µs on a 2-vCPU Linux
-    /// VM, as long as a small panel sweep), so the first batch above the
-    /// floor asks and every later one reuses the answer. Every epoch swap
-    /// builds a new engine, so a changed CPU affinity is picked up at the
-    /// next epoch.
-    fn batch_threads(&self, sources: usize, work: usize, floor: usize) -> usize {
-        if sources < 2 || work < floor {
-            1
-        } else {
-            *self.batch_threads.get_or_init(|| resolve_threads(self.params.threads))
-        }
-    }
-
-    /// [`Self::eccentricity_full_scan_batch`] on exactly
-    /// `min(threads, sources)` contiguous source chunks (the determinism
-    /// test matrix drives this directly). Each source's scan stays
-    /// sequential, so no answer's bits depend on the batch shape or the
-    /// thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a source id is out of range.
-    pub fn eccentricity_full_scan_batch_with(
-        &self,
-        sources: &[usize],
-        threads: usize,
-    ) -> Vec<EccentricityAnswer> {
         let mut out = vec![EccentricityAnswer { value: 0.0, farthest: 0 }; sources.len()];
         fan_out(sources, &mut out, threads, |src, dst| {
             for (&v, slot) in src.iter().zip(dst.iter_mut()) {
-                *slot = self.eccentricity_full_scan(v);
+                *slot = self.eccentricity(v);
             }
         });
         out
@@ -373,10 +323,10 @@ impl QueryEngine {
             &mut scratch.ws,
             &mut scratch.rhs,
         );
-        // Norms-decomposed base fill: the panel's precomputed per-node
-        // norms turn each base distance into one dot product instead of
-        // a fused subtract-square-add recomputed from scratch per call.
-        self.panel.resistances_from_norms_into(&self.sketch, &mut scratch.base, s);
+        // Norms-decomposed base fill: the norm order's per-node norms
+        // turn each base distance into one dot product instead of a fused
+        // subtract-square-add recomputed from scratch per call.
+        self.norms.resistances_from_norms_into(&self.sketch, &mut scratch.base, s);
         let (value, farthest) = updated_eccentricity(&scratch.base, &w, r_uv, s);
         EccentricityAnswer { value, farthest }
     }
@@ -427,7 +377,7 @@ impl QueryEngine {
             &mut scratch.ws,
             &mut scratch.rhs,
         );
-        self.panel.resistances_from_norms_into(&self.sketch, &mut scratch.base, s);
+        self.norms.resistances_from_norms_into(&self.sketch, &mut scratch.base, s);
         let (value, farthest) = updated_eccentricity_removed(&scratch.base, &w, r_uv, edge, s)?;
         Ok(EccentricityAnswer { value, farthest })
     }
@@ -452,12 +402,13 @@ impl QueryEngine {
     ///
     /// The hull boundary is carried over unchanged: it remains a valid
     /// in-range vertex subset but is *stale* with respect to the mutated
-    /// embedding, so hull-restricted eccentricities lose their FASTQUERY
-    /// guarantee until a re-sketch. Callers that mutate should answer
-    /// eccentricity queries with [`Self::eccentricity_full_scan`]: the
-    /// new engine's panel re-sorts the nodes by their mutated norms, and
-    /// the update keeps the embeddings' centroid at the origin (`w ⊥ 𝟏`),
-    /// so the norm-pruned scan stays exact and stays cheap.
+    /// embedding, so hull-restricted eccentricities
+    /// ([`ResistanceSketch::eccentricity_over`]) lose their FASTQUERY
+    /// guarantee until a re-sketch. [`Self::eccentricity`] does not read
+    /// the hull: the new engine's norm order re-sorts the nodes by their
+    /// mutated norms, and the update keeps the embeddings' centroid at
+    /// the origin (`w ⊥ 𝟏`), so the norm-pruned scan stays exact and
+    /// stays cheap.
     ///
     /// # Errors
     ///
@@ -557,7 +508,7 @@ impl QueryEngine {
 /// `min(threads, sources)` contiguous chunks, each on its own scoped
 /// thread, or on the calling thread when that is one chunk. The chunk
 /// boundaries only decide which thread computes an answer, never its
-/// bits: both batch entry points keep each source's kernel sequential.
+/// bits: each source's scan stays sequential.
 fn fan_out<T: Send>(
     sources: &[usize],
     out: &mut [T],
@@ -578,14 +529,8 @@ fn fan_out<T: Send>(
     });
 }
 
-/// Batch work floor (`sources × h × d` multiply-adds) under which
-/// [`QueryEngine::eccentricity_batch`] stays single-threaded:
-/// typical serve-side coalesced batches finish in microseconds and
-/// thread spawns would cost more than the sweep.
-const PARALLEL_BATCH_MIN_WORK: usize = 1 << 16;
-
-/// Batch work floor for [`QueryEngine::eccentricity_full_scan_batch`],
-/// in worst-case multiply-adds (`sources × n × d`, a scan that prunes
+/// Batch work floor for [`QueryEngine::eccentricity_batch`], in
+/// worst-case multiply-adds (`sources × n × d`, a scan that prunes
 /// nothing). Pruned scans usually evaluate a few percent of that, so a
 /// batch under the floor takes a few milliseconds at most on periphery
 /// graphs and stays on the calling thread; at `n = 5 000`, `d = 818` a
@@ -649,12 +594,12 @@ mod tests {
         let g = barabasi_albert(60, 2, 5);
         let p = params();
         let engine = QueryEngine::build(&g, &p).unwrap();
-        let free = crate::query::fast_query(&g, &[0, 10, 59], &p).unwrap();
-        for &(node, c) in &free.results {
-            let ans = engine.eccentricity(node);
-            assert!((ans.value - c).abs() < 1e-12, "node {node}");
+        let free = crate::query::approx_query(&g, &[0, 10, 59], &p).unwrap();
+        for &(node, c) in &free {
+            assert_eq!(engine.eccentricity(node).value.to_bits(), c.to_bits(), "node {node}");
         }
-        assert_eq!(engine.hull_size(), free.hull_size());
+        let fast = crate::query::fast_query(&g, &[0], &p).unwrap();
+        assert_eq!(engine.hull_size(), fast.hull_size());
     }
 
     #[test]
@@ -666,8 +611,8 @@ mod tests {
             let (c, _) = exact.eccentricity(v);
             let ans = engine.eccentricity(v);
             assert!((ans.value - c).abs() <= 0.3 * c, "v={v}: {} vs {c}", ans.value);
-            // Full scan is at least as large as hull-restricted.
-            assert!(engine.eccentricity_full_scan(v).value >= ans.value - 1e-12);
+            // The all-node maximum is at least the hull-restricted one.
+            assert!(engine.sketch().eccentricity_over(v, engine.hull()).0 <= ans.value);
         }
     }
 
@@ -814,9 +759,9 @@ mod tests {
                 assert!((rt - r).abs() <= 0.3 * r, "r({u},{v}): {rt} vs {r}");
             }
         }
-        // Full-scan eccentricity tracks the mutated graph too.
+        // Eccentricity tracks the mutated graph too.
         let (truth, _) = exact.eccentricity(0);
-        let ans = updated.eccentricity_full_scan(0);
+        let ans = updated.eccentricity(0);
         assert!((ans.value - truth).abs() <= 0.3 * truth);
     }
 
@@ -904,10 +849,11 @@ mod tests {
         let g = barabasi_albert(250, 2, 21);
         let engine = QueryEngine::build(&g, &SketchParams { threads: 0, ..params() }).unwrap();
         // One source, or work below the floor, never asks the OS.
-        assert_eq!(engine.batch_threads(1, usize::MAX, 1), 1);
-        assert_eq!(engine.batch_threads(8, 9, 10), 1);
+        let floor = PARALLEL_PRUNED_MIN_WORK;
+        assert_eq!(engine.batch_threads(1, usize::MAX), 1);
+        assert_eq!(engine.batch_threads(8, floor - 1), 1);
         assert!(engine.batch_threads.get().is_none());
-        let resolved = engine.batch_threads(8, 10, 10);
+        let resolved = engine.batch_threads(8, floor);
         assert_eq!(resolved, resolve_threads(0));
         assert_eq!(engine.batch_threads.get(), Some(&resolved));
         // Clones keep the answer; a new engine starts unresolved.
@@ -917,22 +863,21 @@ mod tests {
         assert!(next.batch_threads.get().is_none());
         // An explicit thread count is taken as given.
         let two = QueryEngine::build(&g, &SketchParams { threads: 2, ..params() }).unwrap();
-        assert_eq!(two.batch_threads(2, 10, 10), 2);
+        assert_eq!(two.batch_threads(2, floor), 2);
     }
 
     #[test]
     fn batch_matrix_is_bitwise_identical_to_sequential() {
         // The determinism matrix: every batch-size × thread-count
         // combination must reproduce the sequential per-source answers
-        // bit for bit — the hull-panel batch on a BA graph, and the
-        // norm-pruned full scan (single and batched) against the O(n·d)
+        // bit for bit, and those must be the O(n·d)
         // `ResistanceSketch::eccentricity` on fresh and mutated engines.
         let g = barabasi_albert(250, 2, 21);
         let engine = QueryEngine::build(&g, &params()).unwrap();
         let sources: Vec<usize> = (0..16).map(|i| (i * 13) % 250).collect();
         let seq: Vec<_> = sources.iter().map(|&v| engine.eccentricity(v)).collect();
         for (&v, a) in sources.iter().zip(&seq) {
-            let want = engine.sketch().eccentricity_over(v, engine.hull());
+            let want = engine.sketch().eccentricity(v);
             assert_eq!((a.value.to_bits(), a.farthest), (want.0.to_bits(), want.1), "v={v}");
         }
         for batch in [1usize, 2, 7, 16] {
@@ -983,7 +928,7 @@ mod tests {
                     })
                     .collect();
                 for (v, &want) in reference.iter().enumerate() {
-                    let got = bits(engine.eccentricity_full_scan(v));
+                    let got = bits(engine.eccentricity(v));
                     assert_eq!(got, want, "{name}/{state}: v={v}");
                 }
                 let sources: Vec<usize> = (0..16).map(|i| (i * 7) % n).collect();
@@ -991,18 +936,15 @@ mod tests {
                 for batch in [1usize, 2, 7, 16] {
                     for threads in [1usize, 2, 4] {
                         let got: Vec<_> = engine
-                            .eccentricity_full_scan_batch_with(&sources[..batch], threads)
+                            .eccentricity_batch_with(&sources[..batch], threads)
                             .into_iter()
                             .map(bits)
                             .collect();
                         assert_eq!(got, want[..batch], "{name}/{state}: b={batch} t={threads}");
                     }
                 }
-                let got: Vec<_> = engine
-                    .eccentricity_full_scan_batch(&sources)
-                    .into_iter()
-                    .map(bits)
-                    .collect();
+                let got: Vec<_> =
+                    engine.eccentricity_batch(&sources).into_iter().map(bits).collect();
                 assert_eq!(got, want, "{name}/{state}: default batch");
             }
         }
@@ -1010,9 +952,9 @@ mod tests {
 
     #[test]
     fn mutated_engine_rebuilds_panel_and_answers_identically() {
-        // A rank-1 mutation must repack the panel from the *mutated*
-        // embeddings: hull answers on the new engine have to match a
-        // by-hand `eccentricity_over` sweep of its own sketch, not the
+        // A rank-1 mutation must re-take the norm order from the *mutated*
+        // embeddings: answers on the new engine have to match a by-hand
+        // `ResistanceSketch::eccentricity` scan of its own sketch, not the
         // parent's.
         let g = barabasi_albert(80, 2, 31);
         let engine = QueryEngine::build(&g, &params()).unwrap();
@@ -1020,19 +962,24 @@ mod tests {
         let (mutated, _) = engine.with_added_edge(e, 777).unwrap();
         for v in [0usize, 17, 79] {
             let ans = mutated.eccentricity(v);
-            let (want_c, want_f) = mutated.sketch().eccentricity_over(v, mutated.hull());
-            assert_eq!((ans.value, ans.farthest), (want_c, want_f), "v={v}");
+            let (want_c, want_f) = mutated.sketch().eccentricity(v);
+            assert_eq!(
+                (ans.value.to_bits(), ans.farthest),
+                (want_c.to_bits(), want_f),
+                "v={v}"
+            );
         }
         assert_ne!(
             engine.eccentricity(e.u),
             mutated.eccentricity(e.u),
-            "mutation must be visible through the panel"
+            "mutation must be visible through the scan"
         );
     }
 
     #[test]
     fn mutation_norms_order_the_panel_like_a_fresh_build() {
-        // The write path hands the panel the norms its rank-1 pass took.
+        // The write path hands the norm order the norms its rank-1 pass
+        // took.
         // Reassembling the same parts through `from_parts` takes them
         // afresh; every pruned scan must then agree on the answer and on
         // how many nodes it evaluated, which pins the visiting order.
@@ -1050,8 +997,8 @@ mod tests {
             )
             .unwrap();
             for v in 0..g.node_count() {
-                let got = mutated.panel().eccentricity_pruned(mutated.sketch(), v);
-                let want = rebuilt.panel().eccentricity_pruned(rebuilt.sketch(), v);
+                let got = mutated.norm_order().eccentricity_pruned(mutated.sketch(), v);
+                let want = rebuilt.norm_order().eccentricity_pruned(rebuilt.sketch(), v);
                 assert_eq!(
                     (got.value.to_bits(), got.farthest, got.evaluated),
                     (want.value.to_bits(), want.farthest, want.evaluated),

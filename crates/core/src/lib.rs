@@ -55,7 +55,7 @@ pub mod walks;
 pub use engine::{QueryEngine, WhatIfScratch};
 pub use exact::ExactResistance;
 pub use metrics::EccentricityDistribution;
-pub use panel::HullPanel;
+pub use panel::NormOrder;
 pub use query::{
     approx_query, approx_recc, exact_query, fast_query, fast_query_distribution,
     fast_query_with_policy, resistance_between, DegradationPolicy, FastQueryOutput,

@@ -674,8 +674,9 @@ impl ResistanceSketch {
     /// APPROXQUERY inner step: `c̄(s) = max_j r̃(s, j)` over all nodes,
     /// with the farthest node (the first maximum in index order).
     /// `O(n·d)`, allocation-free. The reference for the norm-pruned scan
-    /// serving uses ([`crate::panel::HullPanel::eccentricity_pruned`]),
-    /// which returns the same bits.
+    /// every [`crate::QueryEngine`] answers with
+    /// ([`crate::panel::NormOrder::eccentricity_pruned`]), which returns the
+    /// same bits.
     pub fn eccentricity(&self, s: usize) -> (f64, usize) {
         assert!(s < self.n, "node out of range");
         let src = &self.data[s * self.d..(s + 1) * self.d];
@@ -710,7 +711,7 @@ impl ResistanceSketch {
     /// Sherman–Morrison rank-1 update of the sketch for **adding** edge
     /// `e = (u, v)`: the new sketch and its `n` squared column norms
     /// `‖x'_j‖²`, each bitwise `vector::dot(x'_j, x'_j)` (the engine's
-    /// hull panel takes them instead of sweeping the new sketch again).
+    /// norm order takes them instead of sweeping the new sketch again).
     ///
     /// With `b = e_u − e_v`, `w = L†b` (`potentials`, one CG solve on the
     /// *pre-addition* graph) and `r = bᵀL†b = w_u − w_v` (`r_uv`), the new

@@ -33,8 +33,8 @@
 //!   errors) at named sites, armed programmatically or via
 //!   `REECC_FAILPOINTS`; one relaxed atomic load when disarmed.
 //! * [`protocol`] — newline-delimited JSON requests and responses
-//!   (`{"op":"ecc","v":17}`), every answer carrying the degradation tier
-//!   and timing.
+//!   (`{"op":"ecc","v":17}`), every answer carrying its tier and
+//!   timing.
 //! * [`server`] — the transports: a session loop over stdin/stdout (pipe
 //!   mode) and a readiness-driven `poll(2)` event loop over TCP (one
 //!   reactor thread owning every connection state machine, with admission

@@ -33,13 +33,12 @@
 //! [`DrainReport`] accounts for every accepted request:
 //! `answered + dropped == submitted`.
 //!
-//! The degradation tier is decided per epoch view (see [`crate::live`]),
-//! mirroring `fast_query_with_policy`: a freshly built sketch with too
-//! many degraded rows — or any sketch that has absorbed rank-1 mutations
-//! since its hull was computed — is not trusted to drive the hull
-//! shortcut, and every eccentricity query falls back to the full
-//! `O(n·d)` scan, reported on the wire as `"tier":"approx"`. A completed
-//! re-sketch restores `"fast"`.
+//! Every eccentricity answer — `ecc`, `radius`, `diameter`, on a fresh
+//! or a mutated epoch — comes from one kernel, the engine's norm-pruned
+//! scan: APPROXQUERY's maximum over all nodes, bitwise
+//! `ResistanceSketch::eccentricity`. The hull is never read on this path,
+//! so a mutated epoch's stale hull changes nothing, and every computed
+//! answer reports `"tier":"approx"`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -47,8 +46,7 @@ use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Mutex, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
-use reecc_core::engine::EccentricityAnswer;
-use reecc_core::{CoreError, QueryEngine, QueryTier, WhatIfScratch};
+use reecc_core::{CoreError, QueryEngine, WhatIfScratch};
 use reecc_graph::Edge;
 
 use crate::cache::{CacheKey, CachedAnswer, ShardedLru};
@@ -321,12 +319,6 @@ impl ServePool {
     /// `false` if a transport was already registered (the first wins).
     pub fn set_transport_stats(&self, stats: Arc<crate::server::TransportStats>) -> bool {
         self.shared.transport.set(stats).is_ok()
-    }
-
-    /// The current epoch's tier for eccentricity answers, as a wire
-    /// string (a mutated epoch drops to `approx` until the re-sketch).
-    pub fn tier_name(&self) -> &'static str {
-        tier_name(self.shared.live.view().tier)
     }
 
     /// The live engine this pool serves.
@@ -624,23 +616,21 @@ fn supervisor_loop(
     }
 }
 
-fn tier_name(tier: QueryTier) -> &'static str {
-    match tier {
-        QueryTier::Fast => "fast",
-        QueryTier::Approx => "approx",
-        QueryTier::Exact => "exact",
-    }
-}
+/// The tier every computed answer reports on the wire: each eccentricity
+/// is APPROXQUERY's all-node maximum (see the module doc).
+const TIER: &str = "approx";
 
 /// How many queued jobs one dequeue may coalesce into a flush: the
 /// first eccentricity-family job plus up to seven more of the family
-/// already waiting behind it. Enough to share the hull panel's widest
-/// 8-lane tail pass without holding the queue lock for long.
+/// already waiting behind it. The flush shares one view fetch, one
+/// batch call and, for `radius`/`diameter`, one all-node sweep, and a
+/// window of 8 holds the queue lock only briefly.
 const BATCH_WINDOW: usize = 8;
 
 /// Requests the coalescing drain may batch into one flush: the
-/// eccentricity family, whose misses share one panel sweep. Everything
-/// else (mutations, what-ifs, stats) is a flush of its own.
+/// eccentricity family, whose misses share one
+/// [`QueryEngine::eccentricity_batch`] call. Everything else (mutations,
+/// what-ifs, stats) is a flush of its own.
 fn coalescible(request: &Request) -> bool {
     matches!(request, Request::Ecc { .. } | Request::Radius | Request::Diameter)
 }
@@ -713,11 +703,11 @@ fn answer(shared: &Shared, job: Job, response: Response) {
 ///
 /// * `ecc`, `radius` and `diameter` perform exactly one cache lookup per
 ///   request under their own key — a hit replies immediately and is
-///   never recomputed. `ecc` misses share one [`eccentricities`] call;
-///   duplicate sources are computed redundantly but bitwise equally, and
-///   each still inserts and answers under its own key. `radius` /
-///   `diameter` misses share one [`radius_diameter_sweep`], which caches
-///   both extremes.
+///   never recomputed. `ecc` misses share one
+///   [`QueryEngine::eccentricity_batch`] call; duplicate sources are
+///   computed redundantly but bitwise equally, and each still inserts and
+///   answers under its own key. `radius` / `diameter` misses share one
+///   [`radius_diameter_sweep`], which caches both extremes.
 /// * Every other request is answered in the same loop by [`execute`] and
 ///   replied to once the flush has released its view.
 ///
@@ -747,13 +737,13 @@ fn process(shared: &Shared, jobs: Vec<Job>) -> Option<WorkerExit> {
         };
         answer(shared, take(slot), response);
     }
-    let finish = |job: Job, outcome: Outcome, cached: bool, tier: QueryTier| {
-        let tier = if matches!(outcome, Outcome::Error { .. }) { None } else { Some(tier) };
+    let finish = |job: Job, outcome: Outcome, cached: bool| {
+        let tier = (!matches!(outcome, Outcome::Error { .. })).then_some(TIER);
         let response = Response {
             id: job.env.id,
             op: job.env.request.op_name(),
             outcome,
-            tier: tier.map(tier_name),
+            tier,
             cached,
             compute_micros: started.elapsed().as_micros() as u64,
             queue_micros: started.duration_since(job.enqueued).as_micros() as u64,
@@ -783,17 +773,17 @@ fn process(shared: &Shared, jobs: Vec<Job>) -> Option<WorkerExit> {
             let request = job.env.request;
             if let Err(message) = failpoint::hit("worker.compute") {
                 let error = Outcome::Error { kind: ErrorKind::Internal, message };
-                finish(take(slot), error, false, view.tier);
+                finish(take(slot), error, false);
                 continue;
             }
             match request {
                 Request::Ecc { v } if v >= n => {
                     let message = format!("v = {v} out of range (graph has {n} nodes)");
                     let error = Outcome::Error { kind: ErrorKind::BadRequest, message };
-                    finish(take(slot), error, false, view.tier);
+                    finish(take(slot), error, false);
                 }
                 Request::Ecc { v } => match shared.cache.get(&CacheKey::Ecc(fp, v)) {
-                    Some(cached) => finish(take(slot), ecc(cached), true, view.tier),
+                    Some(cached) => finish(take(slot), ecc(cached), true),
                     None => ecc_misses.push((idx, v)),
                 },
                 Request::Radius | Request::Diameter => {
@@ -802,7 +792,7 @@ fn process(shared: &Shared, jobs: Vec<Job>) -> Option<WorkerExit> {
                         _ => CacheKey::Diameter(fp),
                     };
                     match shared.cache.get(&key) {
-                        Some(cached) => finish(take(slot), ecc(cached), true, view.tier),
+                        Some(cached) => finish(take(slot), ecc(cached), true),
                         None => sweep_misses.push(idx),
                     }
                 }
@@ -816,10 +806,11 @@ fn process(shared: &Shared, jobs: Vec<Job>) -> Option<WorkerExit> {
         // `radius` / `diameter` miss.
         if !ecc_misses.is_empty() {
             let sources: Vec<usize> = ecc_misses.iter().map(|&(_, v)| v).collect();
-            for (&(idx, v), ans) in ecc_misses.iter().zip(eccentricities(&view, &sources)) {
+            let answers = view.engine.eccentricity_batch(&sources);
+            for (&(idx, v), ans) in ecc_misses.iter().zip(answers) {
                 let cached = CachedAnswer { value: ans.value, node: ans.farthest };
                 shared.cache.insert(CacheKey::Ecc(fp, v), cached);
-                finish(take(&mut slots[idx]), ecc(cached), false, view.tier);
+                finish(take(&mut slots[idx]), ecc(cached), false);
             }
         }
         if !sweep_misses.is_empty() {
@@ -827,12 +818,12 @@ fn process(shared: &Shared, jobs: Vec<Job>) -> Option<WorkerExit> {
             for idx in sweep_misses {
                 let job = take(&mut slots[idx]);
                 let chosen = if matches!(job.env.request, Request::Radius) { min } else { max };
-                finish(job, ecc(chosen), false, view.tier);
+                finish(job, ecc(chosen), false);
             }
         }
     }));
-    for (job, (outcome, cached, tier)) in executed {
-        finish(job, outcome, cached, tier);
+    for (job, (outcome, cached)) in executed {
+        finish(job, outcome, cached);
     }
     let Err(payload) = outcome else { return None };
     shared.panics.fetch_add(1, Ordering::SeqCst);
@@ -861,26 +852,15 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The one tier dispatch for eccentricity answers: FASTQUERY's hull-panel
-/// batch on a `fast` view, the norm-pruned full-scan batch (APPROXQUERY,
-/// bitwise the `O(n·d)` scan) on every other tier. Answers come back in
-/// source order and are bitwise the single-source answers.
-fn eccentricities(view: &EpochView, sources: &[usize]) -> Vec<EccentricityAnswer> {
-    match view.tier {
-        QueryTier::Fast => view.engine.eccentricity_batch(sources),
-        _ => view.engine.eccentricity_full_scan_batch(sources),
-    }
-}
-
 /// Radius (min eccentricity) and diameter (max) from one
-/// [`eccentricities`] call over every node, folded in index order with
-/// strict `<` / `>` so each extreme keeps its lowest node; both are
-/// inserted into the cache so the sibling query is a hit.
+/// [`QueryEngine::eccentricity_batch`] call over every node, folded in
+/// index order with strict `<` / `>` so each extreme keeps its lowest
+/// node; both are inserted into the cache so the sibling query is a hit.
 fn radius_diameter_sweep(shared: &Shared, view: &EpochView) -> (CachedAnswer, CachedAnswer) {
     let sources: Vec<usize> = (0..view.engine.graph().node_count()).collect();
     let mut min = CachedAnswer { value: f64::INFINITY, node: 0 };
     let mut max = CachedAnswer { value: f64::NEG_INFINITY, node: 0 };
-    for (v, ans) in eccentricities(view, &sources).into_iter().enumerate() {
+    for (v, ans) in view.engine.eccentricity_batch(&sources).into_iter().enumerate() {
         if ans.value < min.value {
             min = CachedAnswer { value: ans.value, node: v };
         }
@@ -900,16 +880,13 @@ fn radius_diameter_sweep(shared: &Shared, view: &EpochView) -> (CachedAnswer, Ca
 /// The whole request answers against the one view its flush fetched,
 /// even if mutations land concurrently. Cache keys carry the view's
 /// fingerprint, so a mutation implicitly invalidates every cached answer
-/// (old-epoch entries age out of the LRU). Returns the outcome, whether
-/// it was cached, and the tier to report: the view's, or for a mutation
-/// the tier the mutation left the live engine at.
-fn execute(shared: &Shared, view: &EpochView, request: Request) -> (Outcome, bool, QueryTier) {
-    let tier = view.tier;
+/// (old-epoch entries age out of the LRU). Returns the outcome and
+/// whether it was cached.
+fn execute(shared: &Shared, view: &EpochView, request: Request) -> (Outcome, bool) {
     let n = view.engine.graph().node_count();
     let fp = view.fingerprint;
-    let bad = |message: String| {
-        (Outcome::Error { kind: ErrorKind::BadRequest, message }, false, tier)
-    };
+    let bad =
+        |message: String| (Outcome::Error { kind: ErrorKind::BadRequest, message }, false);
     let check = |node: usize, name: &str| -> Option<String> {
         (node >= n).then(|| format!("{name} = {node} out of range (graph has {n} nodes)"))
     };
@@ -924,11 +901,11 @@ fn execute(shared: &Shared, view: &EpochView, request: Request) -> (Outcome, boo
             let (a, b) = if u <= v { (u, v) } else { (v, u) };
             let key = CacheKey::Res(fp, a, b);
             if let Some(hit) = shared.cache.get(&key) {
-                return (Outcome::Scalar { value: hit.value }, true, tier);
+                return (Outcome::Scalar { value: hit.value }, true);
             }
             let value = view.engine.resistance(a, b);
             shared.cache.insert(key, CachedAnswer { value, node: 0 });
-            (Outcome::Scalar { value }, false, tier)
+            (Outcome::Scalar { value }, false)
         }
         Request::WhatIfEdge { s, u, v } | Request::WhatIfRemoveEdge { s, u, v } => {
             let remove = matches!(request, Request::WhatIfRemoveEdge { .. });
@@ -950,7 +927,7 @@ fn execute(shared: &Shared, view: &EpochView, request: Request) -> (Outcome, boo
                 CacheKey::WhatIf(fp, s, a, b)
             };
             if let Some(hit) = shared.cache.get(&key) {
-                return (Outcome::Ecc { value: hit.value, node: hit.node }, true, tier);
+                return (Outcome::Ecc { value: hit.value, node: hit.node }, true);
             }
             // Warm path: reuse the pool-held solve scratch instead of
             // allocating a CG workspace per request. A poisoned lock just
@@ -977,7 +954,7 @@ fn execute(shared: &Shared, view: &EpochView, request: Request) -> (Outcome, boo
                 Ok(ans) => {
                     let cached = CachedAnswer { value: ans.value, node: ans.farthest };
                     shared.cache.insert(key, cached);
-                    (Outcome::Ecc { value: cached.value, node: cached.node }, false, tier)
+                    (Outcome::Ecc { value: cached.value, node: cached.node }, false)
                 }
                 // A bridge is a structural property of the request, not
                 // an engine failure: the client asked to disconnect the
@@ -986,7 +963,6 @@ fn execute(shared: &Shared, view: &EpochView, request: Request) -> (Outcome, boo
                 Err(e) => (
                     Outcome::Error { kind: ErrorKind::Internal, message: e.to_string() },
                     false,
-                    tier,
                 ),
             }
         }
@@ -1009,15 +985,11 @@ fn execute(shared: &Shared, view: &EpochView, request: Request) -> (Outcome, boo
                         resketch: receipt.resketch_kicked,
                     },
                     false,
-                    // The published view changed; report the tier the
-                    // mutation left us at.
-                    shared.live.view().tier,
                 ),
                 Err(LiveError::Rejected(e)) => bad(e.to_string()),
                 Err(e) => (
                     Outcome::Error { kind: ErrorKind::Internal, message: e.to_string() },
                     false,
-                    tier,
                 ),
             }
         }
@@ -1030,7 +1002,6 @@ fn execute(shared: &Shared, view: &EpochView, request: Request) -> (Outcome, boo
                 resketch_running: shared.live.resketch_running(),
             },
             false,
-            tier,
         ),
         Request::OptimizeSubmit { .. }
         | Request::OptimizeStatus { .. }
@@ -1056,7 +1027,6 @@ fn execute(shared: &Shared, view: &EpochView, request: Request) -> (Outcome, boo
                     dimension: sketch.dimension(),
                     hull_size: view.engine.hull_size(),
                     degraded_rows: diag.unconverged.len() + diag.dropped.len(),
-                    tier: tier_name(tier),
                     threads: shared.threads,
                     queue_depth: shared.queue_depth,
                     served: shared.served.load(Ordering::Relaxed),
@@ -1094,7 +1064,6 @@ fn execute(shared: &Shared, view: &EpochView, request: Request) -> (Outcome, boo
                     write_buffer_sheds: transport.write_buffer_sheds,
                 })),
                 false,
-                tier,
             )
         }
     }
@@ -1129,7 +1098,7 @@ mod tests {
         let first = p.run(env(Request::Ecc { v: 5 }));
         assert!(first.is_ok(), "{first:?}");
         assert!(!first.cached);
-        assert_eq!(first.tier, Some("fast"));
+        assert_eq!(first.tier, Some("approx"));
         let again = p.run(env(Request::Ecc { v: 5 }));
         assert!(again.cached, "{again:?}");
         assert_eq!(again.outcome, first.outcome);
@@ -1177,7 +1146,7 @@ mod tests {
     fn mutations_apply_through_the_pool_and_invalidate_answers() {
         let p = pool(2, 16);
         let before = p.run(env(Request::Ecc { v: 0 }));
-        assert_eq!(before.tier, Some("fast"));
+        assert_eq!(before.tier, Some("approx"));
         let fp_before = p.graph_fingerprint();
         let mutated = p.run(env(Request::AddEdge { u: 0, v: 39 }));
         match mutated.outcome {
@@ -1191,7 +1160,7 @@ mod tests {
         // The same query now recomputes against the mutated view.
         let after = p.run(env(Request::Ecc { v: 0 }));
         assert!(!after.cached, "old-fingerprint cache entry must not answer");
-        assert_eq!(after.tier, Some("approx"), "mutated epoch cannot trust the hull");
+        assert_eq!(after.tier, Some("approx"));
         // Duplicate add is a bad request, not an internal error.
         let dup = p.run(env(Request::AddEdge { u: 39, v: 0 }));
         match dup.outcome {

@@ -28,9 +28,9 @@
 //! Every request may carry an optional `id` (echoed back verbatim, for
 //! pipelined clients) and `deadline_ms` (per-request deadline; the pool
 //! drops requests still queued when it expires). Every successful
-//! response names the degradation tier that answered (`fast` / `approx`,
-//! PR 1's `QueryDiagnostics` made wire-visible) plus compute and queue
-//! times in microseconds.
+//! response computed by the pool carries `"tier":"approx"` (every
+//! eccentricity is APPROXQUERY's maximum over all nodes) plus compute
+//! and queue times in microseconds.
 
 use crate::jobs::JobSpec;
 use crate::json::Json;
@@ -320,8 +320,6 @@ pub struct StatsReport {
     pub hull_size: usize,
     /// Sketch rows still degraded after the repair ladder.
     pub degraded_rows: usize,
-    /// The tier eccentricity queries are answered at.
-    pub tier: &'static str,
     /// Worker thread count.
     pub threads: usize,
     /// Bounded queue depth.
@@ -344,7 +342,7 @@ pub struct StatsReport {
     /// (divide by `whatif_served` for the mean solve latency).
     pub whatif_micros_total: u64,
     /// Eccentricity-family requests answered through a coalesced flush
-    /// of two or more (they shared one batched panel sweep).
+    /// of two or more (their misses shared one batch call).
     pub batched_requests: u64,
     /// Coalescing drain cycles: every dequeue of an eccentricity-family
     /// request, whatever it found behind it.
@@ -567,7 +565,8 @@ pub struct Response {
     pub op: &'static str,
     /// The answer or failure.
     pub outcome: Outcome,
-    /// Degradation tier that answered (`fast` / `approx`), for successes.
+    /// Tier that answered (`approx` for every answer the pool computes),
+    /// for successes.
     pub tier: Option<&'static str>,
     /// Whether the answer came from the result cache.
     pub cached: bool,
@@ -942,7 +941,7 @@ mod tests {
             id: Some(4),
             op: "ecc",
             outcome: Outcome::Ecc { value: 2.5, node: 19 },
-            tier: Some("fast"),
+            tier: Some("approx"),
             cached: true,
             compute_micros: 12,
             queue_micros: 3,
@@ -954,7 +953,7 @@ mod tests {
         assert_eq!(v.get("id").unwrap().as_usize(), Some(4));
         assert_eq!(v.get("value").unwrap().as_f64(), Some(2.5));
         assert_eq!(v.get("node").unwrap().as_usize(), Some(19));
-        assert_eq!(v.get("tier").unwrap().as_str(), Some("fast"));
+        assert_eq!(v.get("tier").unwrap().as_str(), Some("approx"));
         assert_eq!(v.get("cached").unwrap().as_bool(), Some(true));
         assert_eq!(v.get("micros").unwrap().as_usize(), Some(12));
         assert_eq!(v.get("queue_micros").unwrap().as_usize(), Some(3));

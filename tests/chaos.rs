@@ -485,7 +485,7 @@ fn replay_and_swap_faults_are_typed_and_leave_a_recoverable_directory() {
 /// Scenario 5 (non-blocking epoch swap): drain the budget so a background
 /// re-sketch kicks off, hold that build open with a delay failpoint, and
 /// show that readers keep getting answers on the old epoch the whole time.
-/// Once the build is released, the swap lands: epoch 1, "fast" tier again.
+/// Once the build is released, the swap lands: epoch 1.
 #[test]
 fn epoch_swap_never_blocks_readers() {
     let _guard = chaos_lock();
@@ -519,13 +519,11 @@ fn epoch_swap_never_blocks_readers() {
         "readers must not wait for the re-sketch: {elapsed:?}"
     );
     assert_eq!(live.epoch(), 0, "the swap must not have landed mid-build");
-    assert_eq!(pool.tier_name(), "approx", "mutated pre-swap view cannot trust its hull");
 
     failpoint::clear("resketch.build");
     live.join_resketch();
     assert_eq!(live.epoch(), 1, "released build must swap in the fresh epoch");
     assert_eq!(live.resketches_total(), 1);
-    assert_eq!(pool.tier_name(), "fast", "fresh epoch restores the fast tier");
     assert!(pool.live().view().engine.graph().has_edge(u, v), "mutation survives the swap");
 }
 
