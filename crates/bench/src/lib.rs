@@ -8,7 +8,7 @@
 
 use std::time::Instant;
 
-use reecc_core::{ChebyshevConfig, Precision, Preconditioner};
+use reecc_core::{Precision, Preconditioner};
 use reecc_datasets::Tier;
 
 /// Minimal `--flag value` argument parser for the harness binaries.
@@ -115,30 +115,8 @@ impl HarnessArgs {
                     out.block_size =
                         Some(value()?.parse().map_err(|_| "bad --block value".to_string())?)
                 }
-                "--precision" => {
-                    out.precision = match value()?.as_str() {
-                        "f64" => Precision::F64,
-                        "mixed" => Precision::Mixed,
-                        v => {
-                            return Err(format!(
-                                "unknown --precision {v:?} (expected f64 or mixed)"
-                            ))
-                        }
-                    }
-                }
-                "--precond" => {
-                    out.precond = match value()?.as_str() {
-                        "none" => Preconditioner::Identity,
-                        "jacobi" => Preconditioner::Jacobi,
-                        "sgs" => Preconditioner::SymmetricGaussSeidel,
-                        "cheby" => Preconditioner::Chebyshev(ChebyshevConfig::default()),
-                        v => {
-                            return Err(format!(
-                                "unknown --precond {v:?} (expected none, jacobi, sgs or cheby)"
-                            ))
-                        }
-                    }
-                }
+                "--precision" => out.precision = value()?.parse()?,
+                "--precond" => out.precond = value()?.parse()?,
                 other => return Err(format!("unknown flag {other:?}")),
             }
         }
@@ -217,17 +195,7 @@ pub fn sketch_params(args: &HarnessArgs, epsilon: f64) -> reecc_core::SketchPara
 /// Short machine-readable label for a (precision, precond) pair, used as
 /// the `mode` field in trajectory bench records (e.g. `"mixed+cheby"`).
 pub fn mode_label(precision: Precision, precond: Preconditioner) -> String {
-    let pr = match precision {
-        Precision::F64 => "f64",
-        Precision::Mixed => "mixed",
-    };
-    let pc = match precond {
-        Preconditioner::Identity => "none",
-        Preconditioner::Jacobi => "jacobi",
-        Preconditioner::SymmetricGaussSeidel => "sgs",
-        Preconditioner::Chebyshev(_) => "cheby",
-    };
-    format!("{pr}+{pc}")
+    format!("{}+{}", precision.name(), precond.name())
 }
 
 /// Run `f` three times, returning `(last_result, min_secs, median_secs)`.
@@ -264,6 +232,7 @@ pub fn ascii_bar(value: usize, max: usize, width: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use reecc_core::ChebyshevConfig;
 
     fn parse(args: &[&str]) -> Result<HarnessArgs, String> {
         HarnessArgs::try_parse(args.iter().map(|s| s.to_string()))

@@ -7,8 +7,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use reecc_core::{
-    approx_query, exact_query, fast_query, ChebyshevConfig, Precision, Preconditioner,
-    QueryEngine, SketchParams,
+    approx_query, exact_query, fast_query, Precision, Preconditioner, QueryEngine, SketchParams,
 };
 use reecc_datasets::{preprocess, Dataset, Tier};
 use reecc_distfit::burr::fit_burr_mle;
@@ -28,9 +27,7 @@ use reecc_serve::{
     ServePool, ServerConfig, SketchSnapshot, SnapshotError, TcpServer,
 };
 
-use crate::parse::{
-    parse_command, Algorithm, Command, Model, PrecisionArg, PrecondArg, QueryMethod,
-};
+use crate::parse::{parse_command, Algorithm, Command, Model, QueryMethod};
 use crate::{CliError, USAGE};
 
 /// Parse and execute an argv (without the binary name), returning the
@@ -144,18 +141,9 @@ fn sketch_params(eps: f64) -> SketchParams {
 /// f64 or mixed row-solve path, `--precond` the CG preconditioner (cheby
 /// starts as the auto-tuned sentinel config; the build resolves it once
 /// per graph).
-fn solver_params(eps: f64, precision: PrecisionArg, precond: PrecondArg) -> SketchParams {
-    let mut p = sketch_params(eps);
-    p.precision = match precision {
-        PrecisionArg::F64 => Precision::F64,
-        PrecisionArg::Mixed => Precision::Mixed,
-    };
-    p.cg.preconditioner = match precond {
-        PrecondArg::None => Preconditioner::Identity,
-        PrecondArg::Jacobi => Preconditioner::Jacobi,
-        PrecondArg::Sgs => Preconditioner::SymmetricGaussSeidel,
-        PrecondArg::Cheby => Preconditioner::Chebyshev(ChebyshevConfig::default()),
-    };
+fn solver_params(eps: f64, precision: Precision, precond: Preconditioner) -> SketchParams {
+    let mut p = SketchParams { precision, ..sketch_params(eps) };
+    p.cg.preconditioner = precond;
     p
 }
 

@@ -1,5 +1,9 @@
 //! Flag parsing for the `reecc` subcommands.
 
+use std::str::FromStr;
+
+use reecc_core::{Precision, Preconditioner};
+
 use crate::CliError;
 
 /// A parsed command line.
@@ -48,9 +52,9 @@ pub enum Command {
         /// candidate evaluator solves one-column blocks.
         block_size: usize,
         /// Floating-point mode for the sketch and candidate solves.
-        precision: PrecisionArg,
+        precision: Precision,
         /// Preconditioner for the CG row solves.
-        precond: PrecondArg,
+        precond: Preconditioner,
         /// CELF-style lazy re-evaluation for SIMPLE.
         lazy: bool,
         /// Reduce disconnected inputs to their largest connected component.
@@ -83,9 +87,9 @@ pub enum Command {
         /// Sketch RNG seed.
         seed: u64,
         /// Floating-point mode for the sketch build.
-        precision: PrecisionArg,
+        precision: Precision,
         /// Preconditioner for the CG row solves.
-        precond: PrecondArg,
+        precond: Preconditioner,
         /// Reduce disconnected inputs to their largest connected component.
         lcc: bool,
         /// Round-trip the written snapshot (load + fingerprint check)
@@ -118,10 +122,10 @@ pub enum Command {
         /// Floating-point mode for sketch builds, including the live
         /// engine's background re-sketch (ignored with `--snapshot`
         /// until the first re-sketch).
-        precision: PrecisionArg,
+        precision: Precision,
         /// Preconditioner for the CG solves (sketch build, what-ifs,
         /// re-sketch).
-        precond: PrecondArg,
+        precond: Preconditioner,
         /// Reduce disconnected inputs to their largest connected component.
         lcc: bool,
         /// Durable mutation-log directory. When it already holds a
@@ -178,32 +182,6 @@ pub enum Algorithm {
     Ch,
     /// MINRECC (REM).
     MinRecc,
-}
-
-/// Floating-point mode for the sketch's row solves
-/// (`--precision {f64,mixed}`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PrecisionArg {
-    /// Full-f64 CG — the bitwise-stable default.
-    #[default]
-    F64,
-    /// f32 blocked-CG sweeps under f64 iterative refinement.
-    Mixed,
-}
-
-/// Preconditioner for the sketch's row solves
-/// (`--precond {none,jacobi,sgs,cheby}`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PrecondArg {
-    /// Unpreconditioned CG.
-    None,
-    /// Diagonal (degree) scaling — the default.
-    #[default]
-    Jacobi,
-    /// Symmetric Gauss–Seidel smoothing.
-    Sgs,
-    /// Auto-tuned scaled-Chebyshev polynomial preconditioner.
-    Cheby,
 }
 
 /// Generator model selector.
@@ -283,28 +261,13 @@ fn parse_eps(flags: &Flags) -> Result<f64, CliError> {
     }
 }
 
-fn parse_precision(flags: &Flags) -> Result<PrecisionArg, CliError> {
-    match flags.get("precision") {
-        None => Ok(PrecisionArg::default()),
-        Some("f64") => Ok(PrecisionArg::F64),
-        Some("mixed") => Ok(PrecisionArg::Mixed),
-        Some(other) => Err(CliError::Usage(format!(
-            "unknown --precision {other:?} (expected f64 or mixed)"
-        ))),
-    }
-}
-
-fn parse_precond(flags: &Flags) -> Result<PrecondArg, CliError> {
-    match flags.get("precond") {
-        None => Ok(PrecondArg::default()),
-        Some("none") => Ok(PrecondArg::None),
-        Some("jacobi") => Ok(PrecondArg::Jacobi),
-        Some("sgs") => Ok(PrecondArg::Sgs),
-        Some("cheby") => Ok(PrecondArg::Cheby),
-        Some(other) => Err(CliError::Usage(format!(
-            "unknown --precond {other:?} (expected none, jacobi, sgs or cheby)"
-        ))),
-    }
+/// `--name`'s value through its type's name table ([`Precision`],
+/// [`Preconditioner`]), or the type's default when the flag is absent.
+fn parse_named<T: FromStr<Err = String> + Default>(
+    flags: &Flags,
+    name: &str,
+) -> Result<T, CliError> {
+    flags.get(name).map_or_else(|| Ok(T::default()), |v| v.parse().map_err(CliError::Usage))
 }
 
 fn parse_usize(flags: &Flags, name: &str) -> Result<Option<usize>, CliError> {
@@ -430,8 +393,8 @@ pub fn parse_command(args: &[String]) -> Result<Command, CliError> {
                 eps: parse_eps(&flags)?,
                 threads: parse_usize(&flags, "threads")?.unwrap_or(0),
                 block_size: parse_usize(&flags, "block-size")?.unwrap_or(0),
-                precision: parse_precision(&flags)?,
-                precond: parse_precond(&flags)?,
+                precision: parse_named(&flags, "precision")?,
+                precond: parse_named(&flags, "precond")?,
                 lazy: flags.has("lazy"),
                 lcc: flags.has("lcc"),
             })
@@ -511,8 +474,8 @@ pub fn parse_command(args: &[String]) -> Result<Command, CliError> {
                 out,
                 eps: parse_eps(&flags)?,
                 seed,
-                precision: parse_precision(&flags)?,
-                precond: parse_precond(&flags)?,
+                precision: parse_named(&flags, "precision")?,
+                precond: parse_named(&flags, "precond")?,
                 lcc: flags.has("lcc"),
                 verify: flags.has("verify"),
             })
@@ -601,8 +564,8 @@ pub fn parse_command(args: &[String]) -> Result<Command, CliError> {
                 threads,
                 queue_depth,
                 eps: parse_eps(&flags)?,
-                precision: parse_precision(&flags)?,
-                precond: parse_precond(&flags)?,
+                precision: parse_named(&flags, "precision")?,
+                precond: parse_named(&flags, "precond")?,
                 lcc: flags.has("lcc"),
                 wal_dir: flags.get("wal-dir").map(|s| s.to_string()),
                 error_budget,
@@ -725,8 +688,8 @@ mod tests {
         assert!(matches!(
             cmd,
             Command::SketchBuild {
-                precision: PrecisionArg::F64,
-                precond: PrecondArg::Jacobi,
+                precision: Precision::F64,
+                precond: Preconditioner::Jacobi,
                 ..
             }
         ));
@@ -744,20 +707,27 @@ mod tests {
         assert!(matches!(
             cmd,
             Command::SketchBuild {
-                precision: PrecisionArg::Mixed,
-                precond: PrecondArg::Cheby,
+                precision: Precision::Mixed,
+                precond: Preconditioner::Chebyshev(_),
                 ..
             }
         ));
         let cmd =
             parse(&["optimize", "g.txt", "--source", "0", "--k", "1", "--precond", "sgs"])
                 .unwrap();
-        assert!(matches!(cmd, Command::Optimize { precond: PrecondArg::Sgs, .. }));
+        assert!(matches!(
+            cmd,
+            Command::Optimize { precond: Preconditioner::SymmetricGaussSeidel, .. }
+        ));
         let cmd =
             parse(&["serve", "g.txt", "--precision", "mixed", "--precond", "none"]).unwrap();
         assert!(matches!(
             cmd,
-            Command::Serve { precision: PrecisionArg::Mixed, precond: PrecondArg::None, .. }
+            Command::Serve {
+                precision: Precision::Mixed,
+                precond: Preconditioner::Identity,
+                ..
+            }
         ));
         // Bad values are targeted usage errors.
         for bad in [

@@ -28,6 +28,7 @@ use std::sync::OnceLock;
 use reecc_graph::{Edge, Graph};
 use reecc_hull::approxch::{approx_convex_hull, ApproxChOptions};
 use reecc_linalg::cg::CgWorkspace;
+use reecc_linalg::par::{self, resolve_threads};
 use reecc_linalg::{CgOptions, Preconditioner};
 
 use crate::panel::NormOrder;
@@ -36,7 +37,7 @@ use crate::sketch::{ResistanceSketch, SketchParams};
 use crate::update::{
     solve_edge_potentials_with, updated_eccentricity, updated_eccentricity_removed,
 };
-use crate::{resolve_threads, CoreError};
+use crate::CoreError;
 
 /// One eccentricity answer.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -251,10 +252,12 @@ impl QueryEngine {
         }
     }
 
-    /// [`Self::eccentricity_batch`] on exactly `min(threads, sources)`
-    /// contiguous source chunks (the determinism test matrix drives this
-    /// directly). Each source's scan stays sequential, so no answer's bits
-    /// depend on the batch shape or the thread count.
+    /// [`Self::eccentricity_batch`] on contiguous chunks of
+    /// `⌈sources / threads⌉` sources, the first on the calling thread and
+    /// the rest on threads of their own ([`par::fork_join`]; the
+    /// determinism test matrix drives this directly). Each source's scan
+    /// stays sequential, so no answer's bits depend on the batch shape or
+    /// the thread count.
     ///
     /// # Panics
     ///
@@ -265,8 +268,9 @@ impl QueryEngine {
         threads: usize,
     ) -> Vec<EccentricityAnswer> {
         let mut out = vec![EccentricityAnswer { value: 0.0, farthest: 0 }; sources.len()];
-        fan_out(sources, &mut out, threads, |src, dst| {
-            for (&v, slot) in src.iter().zip(dst.iter_mut()) {
+        let chunk = sources.len().div_ceil(threads.max(1)).max(1);
+        par::fork_join(sources.chunks(chunk).zip(out.chunks_mut(chunk)), |(src, dst)| {
+            for (&v, slot) in src.iter().zip(dst) {
                 *slot = self.eccentricity(v);
             }
         });
@@ -502,31 +506,6 @@ impl QueryEngine {
         *self = rebuilt;
         Ok(())
     }
-}
-
-/// Answer `sources` into `out` (same length) by running `kernel` on
-/// `min(threads, sources)` contiguous chunks, each on its own scoped
-/// thread, or on the calling thread when that is one chunk. The chunk
-/// boundaries only decide which thread computes an answer, never its
-/// bits: each source's scan stays sequential.
-fn fan_out<T: Send>(
-    sources: &[usize],
-    out: &mut [T],
-    threads: usize,
-    kernel: impl Fn(&[usize], &mut [T]) + Sync,
-) {
-    let threads = threads.clamp(1, sources.len().max(1));
-    if threads == 1 {
-        kernel(sources, out);
-        return;
-    }
-    let chunk = sources.len().div_ceil(threads);
-    let kernel = &kernel;
-    std::thread::scope(|scope| {
-        for (src, dst) in sources.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            scope.spawn(move || kernel(src, dst));
-        }
-    });
 }
 
 /// Batch work floor for [`QueryEngine::eccentricity_batch`], in

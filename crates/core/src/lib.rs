@@ -66,23 +66,8 @@ pub use sketch::{Precision, ResistanceSketch, SketchDiagnostics, SketchParams};
 // downstream layers (CLI, bench harness) can configure the sketch without
 // a direct reecc-linalg dependency.
 pub use reecc_linalg::{CgOptions, ChebyshevConfig, Preconditioner};
-
-/// Resolve a user-facing `threads` knob to a concrete worker count: `0`
-/// means "use available hardware parallelism", falling back to 1 when the
-/// platform cannot report it; any other value is taken as-is.
-///
-/// This is the single source of truth for what `threads: 0` means — the
-/// sketch build's row/block partitioner, the CLI, and `reecc-serve`'s
-/// worker pool all resolve through here so the layers agree on the
-/// default. Callers that need a floor or a job-count ceiling apply it on
-/// top (e.g. `resolve_threads(t).clamp(1, jobs)`).
-pub fn resolve_threads(requested: usize) -> usize {
-    if requested == 0 {
-        std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
-    } else {
-        requested
-    }
-}
+// What `threads: 0` means, for the serve pool and the CLI.
+pub use reecc_linalg::par::resolve_threads;
 
 /// Errors from resistance computations.
 #[derive(Debug, Clone, PartialEq)]

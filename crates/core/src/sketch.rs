@@ -8,12 +8,13 @@
 //! [`reecc_linalg::jl`]), then `L z = (QB)ᵀ_i` is solved with the
 //! preconditioned CG solver; `z` is row `i` of `X̃`. Rows are independent,
 //! so they are solved in *blocks* of right-hand sides through the
-//! multi-RHS blocked CG ([`reecc_linalg::block_cg`]), and the blocks are
-//! distributed over `std::thread::scope` worker threads. Block boundaries
-//! depend only on `d` and the block size — never on the thread count —
-//! and the blocked solver is bitwise identical to the scalar one per
-//! column, so every combination of `threads` × `block_size` produces the
-//! same sketch bit-for-bit.
+//! multi-RHS blocked CG ([`reecc_linalg::block_cg`]), and contiguous runs
+//! of blocks are split over worker threads by
+//! [`reecc_linalg::par::fork_join`]. Block boundaries depend only on `d`
+//! and the block size — never on the thread count — and the blocked
+//! solver is bitwise identical to the scalar one per column, so every
+//! combination of `threads` × `block_size` produces the same sketch
+//! bit-for-bit.
 //!
 //! Storage is one flat node-major buffer (see [`ResistanceSketch::flat`]):
 //! the embedding of node `u` is the contiguous slice `data[u·d..(u+1)·d]`,
@@ -29,6 +30,7 @@ use reecc_linalg::block_cg::{
 };
 use reecc_linalg::cg::{solve_laplacian, CgOptions, CgWorkspace};
 use reecc_linalg::jl::{jl_dimension_scaled, projected_incidence_rows, projection_column};
+use reecc_linalg::par;
 use reecc_linalg::precond::resolve_preconditioner;
 use reecc_linalg::recovery::{RecoveryPolicy, RecoverySolver};
 use reecc_linalg::{vector, CompactAdjacency, LaplacianOp};
@@ -98,6 +100,29 @@ pub enum Precision {
     Mixed,
 }
 
+impl Precision {
+    /// The spelling `--precision` takes and BENCH records' `mode` label
+    /// prints: `f64` or `mixed`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Precision::F64 => "f64",
+            Precision::Mixed => "mixed",
+        }
+    }
+}
+
+impl std::str::FromStr for Precision {
+    /// The usage message naming the rejected `--precision` value.
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        [Precision::F64, Precision::Mixed]
+            .into_iter()
+            .find(|p| p.name() == s)
+            .ok_or_else(|| format!("unknown --precision {s:?} (expected f64 or mixed)"))
+    }
+}
+
 /// Parameters controlling sketch construction.
 #[derive(Debug, Clone, Copy)]
 pub struct SketchParams {
@@ -112,7 +137,7 @@ pub struct SketchParams {
     /// RNG seed for the `±1/√d` projection.
     pub seed: u64,
     /// Worker threads for the row solves; `0` = use available parallelism
-    /// (resolved through [`crate::resolve_threads`]).
+    /// (resolved through [`reecc_linalg::par::resolve_threads`]).
     pub threads: usize,
     /// Right-hand sides per blocked-CG batch: `0` = adaptive default
     /// ([`DEFAULT_BLOCK_SIZE`], narrowing to [`LARGE_GRAPH_BLOCK_SIZE`]
@@ -181,10 +206,6 @@ impl SketchParams {
         let mut p = *self;
         p.cg.preconditioner = resolve_preconditioner(&LaplacianOp::new(g), p.cg.preconditioner);
         p
-    }
-
-    fn worker_count(&self, jobs: usize) -> usize {
-        crate::resolve_threads(self.threads).clamp(1, jobs.max(1))
     }
 }
 
@@ -299,129 +320,63 @@ impl ResistanceSketch {
         // (QB) rows are generated sequentially (single RNG stream, fully
         // reproducible), solves run in parallel.
         let rhs = projected_incidence_rows(g, d, params.seed);
-        let block = params.effective_block_size(n);
+        // One fan-out over batches of `block` rows. Batch boundaries depend
+        // only on `d` and `block`, never on the worker count, and each row's
+        // solve is per-column bitwise the scalar CG's, so the sketch is the
+        // same for every `threads` × `block_size`. Width 1 in f64 runs the
+        // scalar CG itself (the block solvers' bitwise reference); every
+        // other width, and mixed precision at any width, the blocked CG.
+        let block = params.effective_block_size(n).max(1);
         let mixed = params.precision == Precision::Mixed;
-        let mut rows: Vec<Vec<f64>>;
-        let mut row_ok: Vec<bool>;
-        let mut solve_iterations: usize;
-        if block <= 1 && !mixed {
-            // Scalar single-RHS path: one CG solve per JL row, workers over
-            // contiguous chunks of rows.
-            let workers = params.worker_count(d);
-            rows = Vec::with_capacity(d);
-            row_ok = Vec::with_capacity(d);
-            solve_iterations = 0;
-            if workers <= 1 {
-                let op = LaplacianOp::new(g);
-                let mut ws = CgWorkspace::new(n);
-                for b in &rhs {
-                    let out = solve_laplacian(&op, b, params.cg, &mut ws);
-                    row_ok.push(out.converged);
-                    solve_iterations += out.iterations;
-                    rows.push(out.solution);
-                }
-            } else {
-                let chunk = d.div_ceil(workers);
-                let results: Vec<(Vec<Vec<f64>>, Vec<bool>, usize)> =
-                    std::thread::scope(|scope| {
-                        let handles: Vec<_> = rhs
-                            .chunks(chunk)
-                            .map(|batch| {
-                                scope.spawn(move || {
-                                    let op = LaplacianOp::new(g);
-                                    let mut ws = CgWorkspace::new(n);
-                                    let mut out_rows = Vec::with_capacity(batch.len());
-                                    let mut ok = Vec::with_capacity(batch.len());
-                                    let mut iters = 0usize;
-                                    for b in batch {
-                                        let out = solve_laplacian(&op, b, params.cg, &mut ws);
-                                        ok.push(out.converged);
-                                        iters += out.iterations;
-                                        out_rows.push(out.solution);
-                                    }
-                                    (out_rows, ok, iters)
-                                })
-                            })
-                            .collect();
-                        handles
-                            .into_iter()
-                            .map(|h| h.join().expect("sketch worker panicked"))
-                            .collect()
-                    });
-                for (batch_rows, ok, iters) in results {
-                    row_ok.extend(ok);
-                    rows.extend(batch_rows);
-                    solve_iterations += iters;
-                }
-            }
-        } else {
-            // Blocked multi-RHS path: rows are grouped into blocks of up to
-            // `block` right-hand sides and each block is solved in one
-            // lockstep blocked-CG call (single adjacency sweep per
-            // iteration across the whole block). Block boundaries depend
-            // only on `d` and `block` — never on the worker count — so the
-            // sketch is bitwise identical for every `threads` setting.
-            // Mixed precision always takes this path (the refinement loop
-            // is inherently blocked); per-column independence of the inner
-            // solver keeps it deterministic across block widths too.
-            let blocks: Vec<&[Vec<f64>]> = rhs.chunks(block.max(1)).collect();
-            let workers = params.worker_count(blocks.len());
-            // One u32 adjacency mirror shared (read-only) by every worker:
-            // blocked sweeps stream the index list once per iteration, so
-            // halving its width halves the dominant traffic. Bitwise-
-            // neutral — index width never touches the arithmetic.
-            let compact = CompactAdjacency::try_new(g);
-            let solve_blocks = |assigned: &[&[Vec<f64>]]| {
-                let op = match compact.as_ref() {
-                    Some(adj) => LaplacianOp::with_compact(g, adj),
-                    None => LaplacianOp::new(g),
-                };
-                let mut ws = BlockCgWorkspace::new();
-                let mut out_rows = Vec::new();
-                let mut ok = Vec::new();
-                let mut iters = 0usize;
-                for batch in assigned {
-                    let rhs_block = BlockVectors::from_columns(batch);
-                    let outcome = if mixed {
-                        solve_laplacian_block_mixed(&op, &rhs_block, params.cg, &mut ws)
-                    } else {
-                        solve_laplacian_block(&op, &rhs_block, params.cg, &mut ws)
-                    };
-                    iters += outcome.total_iterations();
-                    for j in 0..batch.len() {
-                        ok.push(outcome.converged[j]);
-                        out_rows.push(outcome.solutions.column_to_vec(j));
-                    }
-                }
-                (out_rows, ok, iters)
+        let scalar = block == 1 && !mixed;
+        let batches: Vec<&[Vec<f64>]> = rhs.chunks(block).collect();
+        let per = batches.len().div_ceil(par::worker_count(params.threads, batches.len()));
+        // One u32 adjacency mirror shared (read-only) by every worker:
+        // blocked sweeps stream the index list once per iteration, so
+        // halving its width halves the dominant traffic. Bitwise-neutral —
+        // index width never touches the arithmetic.
+        let compact = if scalar { None } else { CompactAdjacency::try_new(g) };
+        let solve_batches = |assigned: &[&[Vec<f64>]]| {
+            let op = match compact.as_ref() {
+                Some(adj) => LaplacianOp::with_compact(g, adj),
+                None => LaplacianOp::new(g),
             };
-            if workers <= 1 {
-                let (out_rows, ok, iters) = solve_blocks(&blocks);
-                rows = out_rows;
-                row_ok = ok;
-                solve_iterations = iters;
-            } else {
-                let chunk = blocks.len().div_ceil(workers);
-                let results: Vec<(Vec<Vec<f64>>, Vec<bool>, usize)> =
-                    std::thread::scope(|scope| {
-                        let handles: Vec<_> = blocks
-                            .chunks(chunk)
-                            .map(|assigned| scope.spawn(|| solve_blocks(assigned)))
-                            .collect();
-                        handles
-                            .into_iter()
-                            .map(|h| h.join().expect("sketch worker panicked"))
-                            .collect()
-                    });
-                rows = Vec::with_capacity(d);
-                row_ok = Vec::with_capacity(d);
-                solve_iterations = 0;
-                for (batch_rows, ok, iters) in results {
-                    row_ok.extend(ok);
-                    rows.extend(batch_rows);
-                    solve_iterations += iters;
+            let mut out_rows = Vec::new();
+            let mut ok = Vec::new();
+            let mut iters = 0usize;
+            if scalar {
+                let mut ws = CgWorkspace::new(n);
+                for b in assigned.iter().flat_map(|batch| batch.iter()) {
+                    let out = solve_laplacian(&op, b, params.cg, &mut ws);
+                    ok.push(out.converged);
+                    iters += out.iterations;
+                    out_rows.push(out.solution);
+                }
+                return (out_rows, ok, iters);
+            }
+            let mut ws = BlockCgWorkspace::new();
+            for batch in assigned {
+                let rhs_block = BlockVectors::from_columns(batch);
+                let outcome = if mixed {
+                    solve_laplacian_block_mixed(&op, &rhs_block, params.cg, &mut ws)
+                } else {
+                    solve_laplacian_block(&op, &rhs_block, params.cg, &mut ws)
+                };
+                iters += outcome.total_iterations();
+                for j in 0..batch.len() {
+                    ok.push(outcome.converged[j]);
+                    out_rows.push(outcome.solutions.column_to_vec(j));
                 }
             }
+            (out_rows, ok, iters)
+        };
+        let mut rows: Vec<Vec<f64>> = Vec::with_capacity(d);
+        let mut row_ok: Vec<bool> = Vec::with_capacity(d);
+        let mut solve_iterations = 0usize;
+        for (batch_rows, ok, iters) in par::fork_join(batches.chunks(per), solve_batches) {
+            rows.extend(batch_rows);
+            row_ok.extend(ok);
+            solve_iterations += iters;
         }
 
         // Repair pass: every non-converged or NaN/Inf-polluted row goes

@@ -18,6 +18,8 @@
 //! ([`crate::triangle`]). Neither changes a bit of the result (DESIGN
 //! §16).
 
+use reecc_linalg::par;
+
 use crate::points::{argmax_dot, diameter_estimate, Points};
 use crate::triangle::{
     membership, Membership, TriangleOptions, Verdict, VertexBlock, Workspace,
@@ -170,14 +172,13 @@ pub fn approx_convex_hull<P: Points + Sync>(
 /// The threads [`approx_convex_hull`] splits its full-`n` sweeps over
 /// when asked for `requested` ([`ApproxChOptions::threads`], `0` =
 /// available parallelism): one when `n·d < 2^19`, where a thread spawn
-/// per sweep costs more than it saves, else the resolved request.
+/// per sweep costs more than it saves, else
+/// [`par::resolve_threads`]`(requested)`.
 pub fn sweep_threads<P: Points + ?Sized>(points: &P, requested: usize) -> usize {
     if points.len().saturating_mul(points.dim()) < PARALLEL_MIN_WORK {
         1
-    } else if requested == 0 {
-        std::thread::available_parallelism().map_or(1, |p| p.get())
     } else {
-        requested
+        par::resolve_threads(requested)
     }
 }
 

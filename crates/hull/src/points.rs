@@ -11,6 +11,7 @@
 
 use std::ops::Range;
 
+use reecc_linalg::par;
 use reecc_linalg::vector::{dist_sq, dist_sq_lanes, dot, dot_lanes, LANES};
 
 /// Read-only access to a point-major point collection.
@@ -299,9 +300,9 @@ pub(crate) fn argmax_dot<P: Points + Sync + ?Sized>(
     best.expect("non-empty").0
 }
 
-/// Runs `scan` over up to `threads` contiguous chunks of `0..n` (the
-/// first on the calling thread, the rest on scoped threads) and returns
-/// the chunk results in index order. A chunk holds at least one group of
+/// Runs `scan` over up to `threads` contiguous chunks of `0..n` through
+/// [`par::fork_join`] (the first on the calling thread) and returns the
+/// chunk results in index order. A chunk holds at least one group of
 /// [`LANES`] points, so a thread count far above `n` cannot start a thread
 /// per point; one thread, or at most [`LANES`] points, scans `0..n` in one
 /// piece.
@@ -311,22 +312,7 @@ fn in_chunks<R: Send>(
     scan: impl Fn(Range<usize>) -> R + Sync,
 ) -> Vec<R> {
     let chunk = n.div_ceil(threads.max(1)).max(LANES);
-    if chunk >= n {
-        return vec![scan(0..n)];
-    }
-    let scan = &scan;
-    std::thread::scope(|s| {
-        let rest: Vec<_> = (chunk..n)
-            .step_by(chunk)
-            .map(|lo| s.spawn(move || scan(lo..n.min(lo + chunk))))
-            .collect();
-        let mut out = Vec::with_capacity(rest.len() + 1);
-        out.push(scan(0..chunk));
-        for handle in rest {
-            out.push(handle.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
-        }
-        out
-    })
+    par::fork_join((0..n).step_by(chunk).map(|lo| lo..n.min(lo + chunk)), scan)
 }
 
 /// Farthest-point sweeps behind [`diameter_estimate`].

@@ -38,6 +38,38 @@ pub enum Preconditioner {
     Chebyshev(ChebyshevConfig),
 }
 
+impl Preconditioner {
+    /// The spelling `--precond` takes and BENCH records' `mode` label
+    /// prints: `none`, `jacobi`, `sgs` or `cheby`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Preconditioner::Identity => "none",
+            Preconditioner::Jacobi => "jacobi",
+            Preconditioner::SymmetricGaussSeidel => "sgs",
+            Preconditioner::Chebyshev(_) => "cheby",
+        }
+    }
+}
+
+impl std::str::FromStr for Preconditioner {
+    /// The usage message naming the rejected `--precond` value.
+    type Err = String;
+
+    /// `cheby` parses to the auto-tuned [`ChebyshevConfig::default`],
+    /// which a build resolves once per graph.
+    fn from_str(s: &str) -> Result<Self, String> {
+        [
+            Preconditioner::Identity,
+            Preconditioner::Jacobi,
+            Preconditioner::SymmetricGaussSeidel,
+            Preconditioner::Chebyshev(ChebyshevConfig::default()),
+        ]
+        .into_iter()
+        .find(|p| p.name() == s)
+        .ok_or_else(|| format!("unknown --precond {s:?} (expected none, jacobi, sgs or cheby)"))
+    }
+}
+
 /// Apply `z = M⁻¹ r` for the chosen preconditioner of a Laplacian: the
 /// scalar Chebyshev apply, or the per-column body the block solvers share
 /// ([`apply_column_preconditioner`]). Only Chebyshev touches `scratch`;

@@ -21,8 +21,8 @@
 //! generic operators.
 //!
 //! [`block`] and [`block_cg`] form the multi-RHS kernel layer: contiguous
-//! column-major vector blocks with fused stride-1 kernels, SpMM-style
-//! `apply_block` on both operators, and a lockstep blocked CG whose
+//! column-major vector blocks with fused stride-1 kernels, the SpMM-style
+//! [`LaplacianOp::apply_block`], and a lockstep blocked CG whose
 //! per-column arithmetic is bitwise identical to [`cg::solve_laplacian`]
 //! — the sketch build solves its JL rows in blocks through this path.
 //! Each kernel of that stack (block type, block and vector kernels, SpMM
@@ -45,6 +45,11 @@
 //! shared by the scalar and block solvers. The mixed-precision solve
 //! ([`block_cg::solve_laplacian_block_mixed`]) runs the lockstep loop in
 //! `f32` under an `f64` iterative refinement. See DESIGN.md §14.
+//!
+//! [`par`] is the workspace's one fork-join primitive
+//! ([`par::fork_join`]) and the one reading of a `threads: 0` knob
+//! ([`par::resolve_threads`]); every data-parallel loop above this crate
+//! splits its work through it.
 
 pub mod block;
 pub mod block_cg;
@@ -53,6 +58,7 @@ pub mod dense;
 pub mod eigen;
 pub mod jl;
 pub mod laplacian;
+pub mod par;
 pub mod precond;
 pub mod recovery;
 pub mod sparse;

@@ -126,45 +126,6 @@ impl CsrMatrix {
         }
     }
 
-    /// SpMM: `Y = A X` for a block of `b` vectors in one sweep over the
-    /// stored entries. `x` is transposed into `scratch` (node-major) so
-    /// each entry's gather reads `b` contiguous values; per column the
-    /// accumulation order matches [`Self::matvec_into`] exactly, so each
-    /// output column is bitwise identical to a scalar SpMV of that column.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch.
-    pub fn matvec_block(
-        &self,
-        x: &crate::block::BlockVectors,
-        y: &mut crate::block::BlockVectors,
-        scratch: &mut Vec<f64>,
-    ) {
-        assert_eq!(x.len(), self.cols, "spmm: input dimension mismatch");
-        assert_eq!(y.len(), self.rows, "spmm: output dimension mismatch");
-        let b = x.block_size();
-        assert_eq!(y.block_size(), b, "spmm: block width mismatch");
-        x.transpose_into(scratch);
-        let xt: &[f64] = scratch;
-        let rows = self.rows;
-        let yd = y.as_mut_slice();
-        let mut acc = vec![0.0f64; b];
-        for i in 0..rows {
-            acc.iter_mut().for_each(|a| *a = 0.0);
-            let span = self.row_offsets[i]..self.row_offsets[i + 1];
-            for (&c, &v) in self.col_indices[span.clone()].iter().zip(&self.values[span]) {
-                let xc = &xt[c * b..(c + 1) * b];
-                for (a, &xj) in acc.iter_mut().zip(xc) {
-                    *a += v * xj;
-                }
-            }
-            for (j, &a) in acc.iter().enumerate() {
-                yd[j * rows + i] = a;
-            }
-        }
-    }
-
     /// Dense representation (tests / small matrices only).
     pub fn to_dense(&self) -> crate::DenseMatrix {
         let mut m = crate::DenseMatrix::zeros(self.rows, self.cols);
@@ -220,28 +181,6 @@ mod tests {
         // SpMV through the pruned structure matches the dense product.
         let y = m.matvec(&[3.0, 4.0]);
         assert_eq!(y, vec![0.0, 8.0]);
-    }
-
-    #[test]
-    fn matvec_block_matches_per_column_spmv() {
-        let m = CsrMatrix::from_triplets(
-            3,
-            4,
-            &[(0, 0, 2.0), (0, 3, -1.0), (1, 1, 4.0), (2, 0, 1.0), (2, 2, 3.0)],
-        )
-        .unwrap();
-        let cols = vec![
-            vec![1.0, 2.0, 3.0, 4.0],
-            vec![-1.0, 0.5, 0.0, 2.0],
-            vec![0.0, 0.0, 1.0, -1.0],
-        ];
-        let x = crate::block::BlockVectors::from_columns(&cols);
-        let mut y = crate::block::BlockVectors::zeros(3, 3);
-        let mut scratch = Vec::new();
-        m.matvec_block(&x, &mut y, &mut scratch);
-        for (j, c) in cols.iter().enumerate() {
-            assert_eq!(y.column(j), m.matvec(c).as_slice(), "column {j}");
-        }
     }
 
     #[test]

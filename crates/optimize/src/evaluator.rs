@@ -7,8 +7,9 @@
 //! loop the heuristics used previously paid a full adjacency sweep per CG
 //! iteration *per candidate*. [`CandidateEvaluator`] batches candidate
 //! right-hand sides into [`solve_laplacian_block`] calls so one adjacency
-//! sweep per iteration serves a whole block, and fans independent blocks
-//! out over a worker pool sized by [`reecc_core::resolve_threads`].
+//! sweep per iteration serves a whole block, and fans contiguous runs of
+//! blocks out through [`reecc_linalg::par::fork_join`], one run per worker
+//! of [`reecc_linalg::par::worker_count`].
 //!
 //! **Determinism contract.** Results are bitwise identical across every
 //! `threads × block_size` combination:
@@ -38,7 +39,6 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use reecc_core::resolve_threads;
 use reecc_core::sketch::{block_width, Precision, ResistanceSketch, SketchParams};
 use reecc_core::update::{
     eccentricity_after_edge, solve_edge_potentials_recovering, updated_eccentricity,
@@ -46,6 +46,7 @@ use reecc_core::update::{
 use reecc_graph::{Edge, Graph};
 use reecc_linalg::block::BlockVectors;
 use reecc_linalg::block_cg::{solve_laplacian_block, BlockCgWorkspace};
+use reecc_linalg::par;
 use reecc_linalg::{
     CgOptions, CompactAdjacency, DenseMatrix, LaplacianOp, RecoveryPolicy, RecoverySolver,
 };
@@ -84,7 +85,7 @@ pub struct EvalStats {
 /// for the determinism and robustness contracts.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CandidateEvaluator {
-    /// Worker threads: `0` = auto via [`resolve_threads`].
+    /// Worker threads: `0` = auto via [`par::resolve_threads`].
     pub threads: usize,
     /// Right-hand sides per CG block: `0` = the cache-aware adaptive
     /// default shared with the sketch build, anything else the literal
@@ -126,10 +127,6 @@ impl CandidateEvaluator {
         block_width(self.block_size, self.precision, n)
     }
 
-    fn worker_count(&self, jobs: usize) -> usize {
-        resolve_threads(self.threads).clamp(1, jobs.max(1))
-    }
-
     /// Score every candidate edge by `c(s | G + e)` via the blocked
     /// Sherman–Morrison path: solve `w_e = L†(e_u − e_v)` for a block of
     /// candidates at once, then combine each `w_e` with the caller's base
@@ -157,11 +154,6 @@ impl CandidateEvaluator {
     /// a cancelled-and-retried evaluation can never differ from an
     /// uninterrupted one. When the run completes, the scores are bitwise
     /// identical to [`Self::evaluate_edges`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `base.len() != n`, `s` is out of range, or a candidate
-    /// endpoint is out of range.
     pub fn evaluate_edges_cancellable(
         &self,
         g: &Graph,
@@ -180,7 +172,7 @@ impl CandidateEvaluator {
         // Block boundaries fixed by candidate index: the determinism
         // anchor — identical for every threads setting.
         let blocks: Vec<&[Edge]> = candidates.chunks(width).collect();
-        let workers = self.worker_count(blocks.len());
+        let per_worker = blocks.len().div_ceil(par::worker_count(self.threads, blocks.len()));
         let cancelled = || cancel.is_some_and(|c| c.load(Ordering::Relaxed));
 
         // Shared u32 adjacency mirror for the blocked sweeps (bitwise-
@@ -266,25 +258,9 @@ impl CandidateEvaluator {
             Some((scores, stats))
         };
 
-        let per_worker = blocks.len().div_ceil(workers);
-        let results: Vec<Option<(Vec<CandidateScore>, EvalStats)>> = if workers <= 1 {
-            vec![solve_blocks(&blocks)]
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = blocks
-                    .chunks(per_worker)
-                    .map(|chunk| scope.spawn(move || solve_blocks(chunk)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("candidate evaluator worker panicked"))
-                    .collect()
-            })
-        };
-
         let mut scores = Vec::with_capacity(candidates.len());
         let mut stats = EvalStats::default();
-        for part in results {
+        for part in par::fork_join(blocks.chunks(per_worker), solve_blocks) {
             let (part, part_stats) = part?;
             scores.extend(part);
             stats.blocks_solved += part_stats.blocks_solved;
@@ -349,26 +325,13 @@ impl CandidateEvaluator {
             }
             Some(out)
         };
-        let workers = self.worker_count(candidates.len());
-        if workers <= 1 {
-            return score_run(candidates);
-        }
         // Contiguous candidate runs per worker, concatenated in order:
         // each candidate's score is independent, so the cut points cannot
         // affect any value.
-        let per_worker = candidates.len().div_ceil(workers);
-        let parts: Vec<Option<Vec<CandidateScore>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = candidates
-                .chunks(per_worker)
-                .map(|run| scope.spawn(move || score_run(run)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("candidate evaluator worker panicked"))
-                .collect()
-        });
+        let per_worker =
+            candidates.len().div_ceil(par::worker_count(self.threads, candidates.len()));
         let mut scores = Vec::with_capacity(candidates.len());
-        for part in parts {
+        for part in par::fork_join(candidates.chunks(per_worker), score_run) {
             scores.extend(part?);
         }
         Some(scores)
@@ -386,21 +349,13 @@ impl CandidateEvaluator {
     /// Panics if `s` is out of range.
     pub fn distance_scan(&self, sketch: &ResistanceSketch, s: usize) -> Vec<f64> {
         let n = sketch.node_count();
+        assert!(s < n, "node out of range");
         let mut out = vec![0.0; n];
-        let workers = self.worker_count(n);
-        if workers <= 1 {
-            sketch.resistances_from_into(&mut out, s);
-            return out;
-        }
-        let per_worker = n.div_ceil(workers);
-        std::thread::scope(|scope| {
-            for (ci, chunk) in out.chunks_mut(per_worker).enumerate() {
-                let start = ci * per_worker;
-                scope.spawn(move || {
-                    for (off, o) in chunk.iter_mut().enumerate() {
-                        *o = sketch.resistance(s, start + off);
-                    }
-                });
+        let per_worker = n.div_ceil(par::worker_count(self.threads, n));
+        let parts = out.chunks_mut(per_worker).zip((0..n).step_by(per_worker));
+        par::fork_join(parts, |(chunk, start)| {
+            for (off, o) in chunk.iter_mut().enumerate() {
+                *o = sketch.resistance(s, start + off);
             }
         });
         out

@@ -22,9 +22,9 @@
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use reecc_core::resolve_threads;
 use reecc_core::sketch::ResistanceSketch;
 use reecc_graph::Edge;
+use reecc_linalg::par;
 
 /// How many of the best-screened candidates go on to a CG solve in each
 /// CHMINRECC / MINRECC iteration (DESIGN §17.2).
@@ -51,7 +51,8 @@ const CANCEL_STRIDE: usize = 64;
 /// winning term scores `-∞`.
 ///
 /// The nodes are split into contiguous chunks, one per thread of
-/// [`resolve_threads`]`(threads)` (one thread below 2¹⁶ multiply-adds).
+/// [`par::resolve_threads`]`(threads)` (one thread below 2¹⁶
+/// multiply-adds), and run through [`par::fork_join`].
 /// Every `H` entry is one in-order fold, whatever chunk or kernel group
 /// computes it, and chunk maxima merge in node order under the same
 /// strict `>`, so the scores are bitwise equal at every thread count.
@@ -98,7 +99,7 @@ pub fn screen_edges(
     let workers = if ends.len() * n * d < PARALLEL_MIN_WORK {
         1
     } else {
-        resolve_threads(threads).clamp(1, n.div_ceil(GROUP))
+        par::worker_count(threads, n.div_ceil(GROUP))
     };
     let chunk = n.div_ceil(workers);
     // Per chunk: GROUP shifted nodes, their GROUP rows of H (the zero
@@ -129,24 +130,9 @@ pub fn screen_edges(
         }
         true
     };
-    let scan = &scan;
-    let mut bufs = scratch.chunks_mut(per);
-    let first = bufs.next().expect("at least one chunk");
-    let finished = std::thread::scope(|sc| {
-        let rest: Vec<_> = bufs
-            .enumerate()
-            .map(|(c, buf)| {
-                let lo = (c + 1) * chunk;
-                sc.spawn(move || scan(lo..n.min(lo + chunk), buf))
-            })
-            .collect();
-        let mut finished = scan(0..chunk.min(n), first);
-        for handle in rest {
-            finished &= handle.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
-        }
-        finished
-    });
-    if !finished {
+    let ranges = (0..n).step_by(chunk).map(|lo| lo..n.min(lo + chunk));
+    let finished = par::fork_join(ranges.zip(scratch.chunks_mut(per)), |(r, buf)| scan(r, buf));
+    if finished.contains(&false) {
         return None;
     }
     // Chunk maxima merge in node order under the scan's own rule.

@@ -71,6 +71,7 @@ use reecc_opt::{
 
 use crate::failpoint;
 use crate::live::{EpochView, LiveEngine};
+use crate::pool::panic_message;
 use crate::snapshot::sync_parent_dir;
 
 /// Magic prefix of every job checkpoint file.
@@ -715,14 +716,6 @@ fn id_from_path(path: &Path) -> Option<u64> {
     path.file_name()?.to_str()?.strip_prefix("job-")?.strip_suffix(".reeccjob")?.parse().ok()
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    payload
-        .downcast_ref::<String>()
-        .cloned()
-        .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
-        .unwrap_or_else(|| "opaque panic".to_string())
-}
-
 /// Dispatch one job spec to its `*_controlled` optimizer.
 fn run_optimizer(
     g: &Graph,
@@ -1195,7 +1188,7 @@ impl JobRunner {
                 self.jobs_failed.fetch_add(1, Ordering::Relaxed);
                 entry.set_status(JobStatus::Failed(format!(
                     "job panicked: {}",
-                    panic_message(payload)
+                    panic_message(payload.as_ref())
                 )));
             }
         }

@@ -48,6 +48,7 @@ use reecc_graph::fingerprint::{fingerprint, Fnv1a};
 use reecc_graph::{Edge, Graph};
 
 use crate::failpoint;
+use crate::pool::panic_message;
 use crate::snapshot::{atomic_replace, SketchSnapshot};
 use crate::wal::{self, WalError, WalOp, WalRecord, WalWriter};
 
@@ -321,6 +322,7 @@ impl LiveEngine {
         atomic_replace(
             &wal::graph_path(wal_dir, 0),
             render_epoch_graph(engine.graph()).as_bytes(),
+            None,
         )
         .map_err(LiveError::Graph)?;
         SketchSnapshot::from_engine(&engine)
@@ -575,11 +577,7 @@ impl LiveEngine {
                 // and the drained budget re-kicks on the next mutation.
                 let result = catch_unwind(AssertUnwindSafe(|| me.resketch()));
                 if let Err(payload) = result {
-                    let msg = payload
-                        .downcast_ref::<String>()
-                        .cloned()
-                        .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
-                        .unwrap_or_else(|| "opaque panic".to_string());
+                    let msg = panic_message(payload.as_ref());
                     eprintln!("reecc-serve: re-sketch aborted by panic: {msg}");
                 }
                 me.resketch_running.store(false, Ordering::SeqCst);
@@ -656,6 +654,7 @@ impl LiveEngine {
                 atomic_replace(
                     &wal::graph_path(dir, new_epoch),
                     render_epoch_graph(&g0).as_bytes(),
+                    None,
                 )
                 .map_err(LiveError::Graph)?;
                 snapshot

@@ -841,8 +841,9 @@ fn process(shared: &Shared, jobs: Vec<Job>) -> Option<WorkerExit> {
     Some(WorkerExit::Panicked)
 }
 
-/// Best-effort extraction of a `panic!` payload message.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// Best-effort extraction of a `panic!` payload message (the pool's, the
+/// job runner's and the re-sketch thread's panic reports).
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

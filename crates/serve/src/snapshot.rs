@@ -352,25 +352,7 @@ impl SketchSnapshot {
     /// [`SnapshotError::Io`].
     pub fn save(&self, path: &Path) -> Result<usize, SnapshotError> {
         let bytes = self.to_bytes();
-        let tmp = temp_sibling(path);
-        let result = write_exclusive(&tmp, &bytes).and_then(|()| {
-            // `snapshot.write` fires between the temp write and the
-            // rename: the window where a crash must leave the target
-            // untouched.
-            failpoint::hit("snapshot.write").map_err(SnapshotError::Io)?;
-            std::fs::rename(&tmp, path).map_err(|e| {
-                SnapshotError::Io(format!(
-                    "cannot rename {} over {}: {e}",
-                    tmp.display(),
-                    path.display()
-                ))
-            })
-        });
-        if result.is_err() {
-            let _ = std::fs::remove_file(&tmp);
-            result?;
-        }
-        sync_parent_dir(path);
+        atomic_replace(path, &bytes, Some("snapshot.write")).map_err(SnapshotError::Io)?;
         Ok(bytes.len())
     }
 
@@ -476,18 +458,25 @@ impl Default for RetryPolicy {
 }
 
 /// Atomically replace `path` with `bytes`: same-directory temp file +
-/// fsync + rename + parent-directory fsync. Shared with the WAL layer
-/// (`crate::wal`) for epoch graph files and the `CURRENT` pointer, so
-/// every durable-publish step in the serving tier goes through one
-/// audited code path.
+/// fsync + rename + parent-directory fsync. Snapshots
+/// ([`SketchSnapshot::save`]), epoch graph files and the WAL's `CURRENT`
+/// pointer all go through it, so every durable-publish step in the
+/// serving tier is one audited code path. The failpoint `site`, when
+/// given, fires between the temp write and the rename: the window where
+/// a crash must leave the target untouched.
 ///
 /// # Errors
 ///
 /// A human-readable message; the temp file is removed on failure and the
 /// previous contents of `path` (if any) are untouched.
-pub(crate) fn atomic_replace(path: &Path, bytes: &[u8]) -> Result<(), String> {
+pub(crate) fn atomic_replace(
+    path: &Path,
+    bytes: &[u8],
+    site: Option<&str>,
+) -> Result<(), String> {
     let tmp = temp_sibling(path);
-    let result = write_exclusive(&tmp, bytes).map_err(|e| e.to_string()).and_then(|()| {
+    let result = write_exclusive(&tmp, bytes).and_then(|()| {
+        site.map_or(Ok(()), failpoint::hit)?;
         std::fs::rename(&tmp, path).map_err(|e| {
             format!("cannot rename {} over {}: {e}", tmp.display(), path.display())
         })
@@ -511,10 +500,8 @@ fn temp_sibling(path: &Path) -> PathBuf {
 }
 
 /// Write `bytes` to a fresh file at `tmp` and fsync it to disk.
-fn write_exclusive(tmp: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
-    let io_err = |what: &str, e: std::io::Error| {
-        SnapshotError::Io(format!("{what} {}: {e}", tmp.display()))
-    };
+fn write_exclusive(tmp: &Path, bytes: &[u8]) -> Result<(), String> {
+    let io_err = |what: &str, e: std::io::Error| format!("{what} {}: {e}", tmp.display());
     let mut file = std::fs::File::create(tmp).map_err(|e| io_err("cannot create", e))?;
     file.write_all(bytes).map_err(|e| io_err("cannot write", e))?;
     // fsync before rename: without it, a power loss after the rename can

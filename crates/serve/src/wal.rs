@@ -207,7 +207,7 @@ pub fn read_current(dir: &Path) -> Result<Option<u64>, WalError> {
 ///
 /// [`WalError::Io`] with the underlying message.
 pub fn write_current(dir: &Path, n: u64) -> Result<(), WalError> {
-    atomic_replace(&current_path(dir), format!("{n}\n").as_bytes()).map_err(WalError::Io)
+    atomic_replace(&current_path(dir), format!("{n}\n").as_bytes(), None).map_err(WalError::Io)
 }
 
 fn encode_header(epoch: u64, fingerprint: u64) -> [u8; HEADER_LEN] {

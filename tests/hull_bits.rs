@@ -2,6 +2,11 @@
 //! estimate bits, passes, truncation) on two fixed inputs, checked against
 //! text files in `golden/` that were written by the serial scan before
 //! the lane kernels and the threaded sweeps existed.
+//!
+//! Both inputs sit below APPROXCH's 2^19 work floor (`n·d` per sweep), so
+//! the 1/2/4-thread loop below runs every sweep on the calling thread.
+//! The threaded sweeps are covered by `approxch`'s unit test
+//! `threaded_sweeps_above_the_work_floor_match_one_thread`.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -30,8 +35,8 @@ fn golden(name: &str) -> String {
 
 /// Case 1, a sketch-shaped input: FASTQUERY's hull (θ = ε/12, the default
 /// budget) over the sketch of a 1 500-node Holme–Kim graph with a pendant
-/// periphery, ε = 0.5, 64 rows, seed 801. n·d = 96 000, so the threaded
-/// sweeps engage; the budget truncates the hull in its first pass.
+/// periphery, ε = 0.5, 64 rows, seed 801. n·d = 96 000, below the 2^19
+/// floor; the budget truncates the hull in its first pass.
 fn sketch_case() -> (ResistanceSketch, f64, ApproxChOptions) {
     let g = with_pendant_periphery(&holme_kim(1275, 5, 0.6, 801), 225, 3, 802);
     let params =
@@ -47,7 +52,7 @@ fn sketch_case() -> (ResistanceSketch, f64, ApproxChOptions) {
 
 /// Case 2, an unbudgeted cloud: 8 192 points uniform in `[-1, 1)^8` from
 /// `StdRng` seed 7 (coordinates drawn point by point), θ = 0.3. It takes
-/// three passes; n·d = 2^16, the threaded sweeps' floor.
+/// three passes; n·d = 2^16, below the 2^19 floor.
 fn cloud_case() -> PointSet {
     let mut rng = StdRng::seed_from_u64(7);
     let pts: Vec<Vec<f64>> =
